@@ -182,14 +182,20 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    best = 1
+    # The float running sum finds the boundary and math.fsum settles it: the
+    # scan stops only where fsum also exceeds epsilon, then steps back while
+    # the shorter prefix still does.  fsum's partial sums are nondecreasing,
+    # so this is the scan with fsum at every n, in O(n).
     terms: list[float] = []
-    for n in range(2, n_max + 1):
-        terms.append(_pair_term(params, n - 1))
-        if math.fsum(terms) <= epsilon:
-            best = n
-        else:
+    running = 0.0
+    while len(terms) + 1 < n_max:
+        terms.append(_pair_term(params, len(terms) + 1))
+        running += terms[-1]
+        if running > epsilon and math.fsum(terms) > epsilon:
             break
+    best = len(terms) + 1
+    while best > 1 and math.fsum(terms[: best - 1]) > epsilon:
+        best -= 1
     if best == n_max:
         warnings.warn(
             f"pick_n reached the search cap n_max={n_max}; "

@@ -23,6 +23,17 @@ max over (L, M] of X.  The first error is classified as
 A full-length prefix (L = M) reports ``none``: the draw was ordered out to
 the truncation horizon, which the caller should treat as a horizon hit,
 not a perfectly ordered infinite ensemble.
+
+Replicate core
+--------------
+Each worker chunk owns one Philox bit generator.  Before replicate r it is
+reset to key (s, r), counter 0 and an empty buffer, the exact state a
+fresh ``Philox(key=(s, r))`` starts in, so the draws equal those of
+``replicate_stream(s, r)`` without building a generator per replicate.
+Draws are collected into blocks of about 2**15 counts and classified a
+block at a time by array operations; ``ordering_outcome`` runs the same
+classifier on a single row.  Outputs therefore do not depend on the
+worker count, the block size or how chunks are cut.
 """
 
 from __future__ import annotations
@@ -50,7 +61,13 @@ __all__ = [
 ]
 
 _ERROR_KINDS = ("none", "transposition", "tie", "jump")
+# error kind index by blocker offset b - c, clipped to 0..2: tie, transposition, jump
+_KIND_BY_OFFSET = np.array([2, 1, 3])
 _U64 = 0xFFFFFFFFFFFFFFFF
+# counts per classified block: enough rows to amortise the fixed cost of each
+# array operation when M is small, while the block and its temporaries stay
+# well under a megabyte
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -86,9 +103,14 @@ class ExperimentSummary:
         }
 
 
+def _stream_key(seed: int, replicate: int) -> tuple[int, int]:
+    """Philox key of one replicate's stream: seed and index reduced mod 2**64."""
+    return seed & _U64, replicate & _U64
+
+
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, replicate) pair."""
-    key = np.array([seed & _U64, replicate & _U64], dtype=np.uint64)
+    key = np.array(_stream_key(seed, replicate), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -188,6 +210,40 @@ def sample_ensemble(
     )
 
 
+def _classify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correct-prefix length, error kind index and 1-based blocker of each row.
+
+    x is a (rows, M) block, one draw per row.  Let K be the length of the
+    strictly descending chain x_1 > ... > x_K and top = max(x[K:]) the
+    largest count after it.  A chain rank n dominates everything after it
+    exactly when x_n > top; the chain descends, so these ranks form its
+    prefix and L is the index of the first count <= top, which is at most K
+    because x[K] <= top.  The blocker, the first maximiser of x[L:], is the
+    first count equal to top in the whole row: counts before L exceed top,
+    and the chain after L stays below x[L] <= top.  Rows with K = M are
+    ordered to the horizon; their blocker is meaningless.
+    """
+    rows, m = x.shape
+    breaks = np.empty((rows, m), dtype=bool)
+    np.greater_equal(x[:, 1:], x[:, :-1], out=breaks[:, :-1])
+    breaks[:, -1] = True
+    chain = breaks.argmax(axis=1) + 1
+    # max of each row's tail x[K:], one reduceat over the flat block: even
+    # cuts open a tail, odd cuts open the next row (whose chain is dropped)
+    starts = np.arange(rows) * m
+    cuts = np.empty(2 * rows - 1, dtype=np.intp)
+    cuts[0::2] = np.minimum(starts + chain, rows * m - 1)
+    cuts[1::2] = starts[1:]
+    top = np.maximum.reduceat(x.ravel(), cuts)[0::2][:, np.newaxis]
+    prefix = (x <= top).argmax(axis=1)
+    blocker = (x == top).argmax(axis=1)
+    kind = _KIND_BY_OFFSET.take(blocker - prefix, mode="clip")
+    full = chain == m
+    prefix[full] = m
+    kind[full] = 0
+    return prefix, kind, blocker + 1
+
+
 def ordering_outcome(counts: Sequence[int] | np.ndarray | RankedCounts) -> OrderingOutcome:
     """Correct-prefix length and first-error classification of one draw."""
     if isinstance(counts, RankedCounts):
@@ -195,49 +251,45 @@ def ordering_outcome(counts: Sequence[int] | np.ndarray | RankedCounts) -> Order
     x = np.asarray(counts)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("counts must be a nonempty one-dimensional sequence")
-    m = x.size
-
-    # chain length: largest K with x_1 > x_2 > ... > x_K
-    non_desc = np.nonzero(np.diff(x) >= 0)[0]
-    chain = int(non_desc[0]) + 1 if non_desc.size else m
-
-    # suffix maxima: suffix_max[j] = max(x[j:]) (0-based)
-    suffix_max = np.maximum.accumulate(x[::-1])[::-1]
-
-    # P(n) for n <= chain reduces to the dominance clause; P is monotone, so
-    # the first success scanning downward is the largest valid prefix.
-    prefix = 0
-    for n in range(min(chain, m), 0, -1):
-        if n == m or x[n - 1] > suffix_max[n]:
-            prefix = n
-            break
-
-    if prefix == m:
+    prefix, kind, blocker = (int(v[0]) for v in _classify(x[np.newaxis]))
+    first_error = _ERROR_KINDS[kind]
+    if first_error == "none":
         return OrderingOutcome(prefix, "none")
-
-    failed = prefix + 1  # 1-based rank that could not be confirmed
-    blocker = prefix + 1 + int(np.argmax(x[prefix:]))  # first maximiser of the rest
-    if blocker == failed:
-        return OrderingOutcome(prefix, "tie", blocker_index=blocker)
-    if blocker == failed + 1:
-        return OrderingOutcome(prefix, "transposition", blocker_index=blocker)
+    jump_offset = blocker - (prefix + 1) if first_error == "jump" else None
     return OrderingOutcome(
-        prefix, "jump", jump_offset=blocker - failed, blocker_index=blocker
+        prefix, first_error, jump_offset=jump_offset, blocker_index=blocker
     )
 
 
 def _simulate_chunk(
     params: EnsembleParams, seed: int, start: int, stop: int, m: int
-) -> tuple[dict[int, int], dict[str, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of prefix lengths 0..M and of error kinds over replicates start..stop-1."""
     lam = _means(params, m)
-    hist: dict[int, int] = {}
-    kinds = dict.fromkeys(_ERROR_KINDS, 0)
-    for r in range(start, stop):
-        draws = replicate_stream(seed, r).poisson(lam)
-        outcome = ordering_outcome(draws)
-        hist[outcome.correct_prefix_len] = hist.get(outcome.correct_prefix_len, 0) + 1
-        kinds[outcome.first_error] += 1
-    return hist, kinds
+    bit_gen = np.random.Philox(key=np.array(_stream_key(seed, start), dtype=np.uint64))
+    stream = np.random.Generator(bit_gen)
+    # the state Philox(key=...) starts in: counter 0, empty buffer
+    keyed = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    block = np.empty((max(1, _BLOCK_ELEMENTS // m), m), dtype=np.int64)
+    lengths = np.zeros(m + 1, dtype=np.int64)
+    kinds = np.zeros(len(_ERROR_KINDS), dtype=np.int64)
+    for lo in range(start, stop, len(block)):
+        hi = min(lo + len(block), stop)
+        for row, r in enumerate(range(lo, hi)):
+            keyed["state"]["key"] = _stream_key(seed, r)
+            bit_gen.state = keyed
+            block[row] = stream.poisson(lam)
+        prefix, kind, _ = _classify(block[: hi - lo])
+        lengths += np.bincount(prefix, minlength=m + 1)
+        kinds += np.bincount(kind, minlength=len(_ERROR_KINDS))
+    return lengths, kinds
 
 
 def run_experiment(
@@ -273,22 +325,17 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk_star, jobs))
 
-    histogram: dict[int, int] = {}
-    kinds = dict.fromkeys(_ERROR_KINDS, 0)
-    for part_hist, part_kinds in parts:
-        for length, freq in part_hist.items():
-            histogram[length] = histogram.get(length, 0) + freq
-        for kind, freq in part_kinds.items():
-            kinds[kind] += freq
+    lengths = sum(part[0] for part in parts)
+    kinds = sum(part[1] for part in parts)
     return ExperimentSummary(
         reps=reps,
-        histogram=dict(sorted(histogram.items())),
-        error_kind_counts=kinds,
+        histogram={length: int(freq) for length, freq in enumerate(lengths) if freq},
+        error_kind_counts=dict(zip(_ERROR_KINDS, kinds.tolist())),
         seed=seed,
         truncation_m=m,
         n_focus=n_focus,
     )
 
 
-def _simulate_chunk_star(args) -> tuple[dict[int, int], dict[str, int]]:
+def _simulate_chunk_star(args) -> tuple[np.ndarray, np.ndarray]:
     return _simulate_chunk(*args)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,32 @@ class TestPickN:
             n = pick_n(BNC_PARAMS, eps, 1000)
             assert prefix_error_bound(n, BNC_PARAMS).bonferroni_sum <= eps
             assert prefix_error_bound(n + 1, BNC_PARAMS).bonferroni_sum > eps
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.106, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [0.0, 2.5])
+    def test_matches_scan_over_every_n(self, alpha, k):
+        """pick_n equals the scan from the definition: at every n the
+        Bonferroni sum, added exactly and rounded once (the value math.fsum
+        returns), is compared with epsilon, up to the first n that exceeds it."""
+        for N in [10.0**e for e in range(3, 13)]:
+            params = EnsembleParams(N, alpha, k)
+            for eps in [1e-6, 0.01, 0.05, 0.5]:
+                got = pick_n(params, eps, 100_000)
+                want, exact = 1, Fraction(0)
+                for n, term in enumerate(prefix_error_bound(got + 2, params).per_pair_terms, 2):
+                    exact += Fraction(term)
+                    if float(exact) > eps:
+                        break
+                    want = n
+                assert got == want, (N, alpha, k, eps)
+
+    def test_epsilon_equal_to_a_prefix_sum(self):
+        """A budget met with equality admits the prefix."""
+        terms = prefix_error_bound(120, BNC_PARAMS).per_pair_terms
+        for n in range(2, 100):
+            eps = math.fsum(terms[: n - 1])
+            if 0.0 < eps < 1.0:
+                assert pick_n(BNC_PARAMS, eps, 1000) == n
 
     def test_cap_returns_one(self):
         with warnings.catch_warnings():

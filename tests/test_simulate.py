@@ -1,6 +1,8 @@
 """Simulator correctness: sampling distribution, truncation, classifier, determinism."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,15 @@ from zipforder import (
     sample_poisson,
     truncation_index,
 )
+from zipforder.simulate import _ERROR_KINDS, _classify, _means, _simulate_chunk
 
 BNC_PARAMS = EnsembleParams(1e7, 1.106, 0.0)
+
+# ExperimentSummary.to_dict() of fixed runs, recorded from the simulator
+# that drew with a fresh Philox generator per replicate and classified one
+# row at a time.  Cases cover a shifted law, seeds that need reduction
+# mod 2**64 and worker chunks that start mid-run.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "simulate_golden.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +200,28 @@ class TestOrderingOutcome:
         with pytest.raises(DomainError):
             ordering_outcome([])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 40])
+    def test_block_rows_match_single_rows(self, m):
+        """The block classifier agrees row by row with one-row calls and with
+        the brute-force oracle, on tie-heavy integer and float blocks."""
+        rng = np.random.default_rng(m)
+        block = rng.integers(0, 4, size=(500, m))
+        for x in (block, block.astype(np.float64)):
+            prefix, kind, blocker = _classify(x)
+            for row, l, k, b in zip(x, prefix, kind, blocker):
+                table = RankedCounts(counts=tuple(float(v) for v in row), index_ranked=True)
+                single = ordering_outcome(table)
+                assert single == ordering_outcome(row)
+                assert (single.correct_prefix_len, single.first_error) == (l, _ERROR_KINDS[k])
+                if single.blocker_index is not None:
+                    assert single.blocker_index == b
+                assert (
+                    single.correct_prefix_len,
+                    single.first_error,
+                    single.jump_offset,
+                    single.blocker_index,
+                ) == brute_force_outcome(row.tolist())
+
 
 class TestRunExperiment:
     def test_defaults_to_threshold_focus(self, bnc_run):
@@ -250,6 +281,33 @@ class TestRunExperiment:
         }
         assert payload["histogram"] == sorted(payload["histogram"])
         assert set(payload["error_kind_counts"]) == {"none", "transposition", "tie", "jump"}
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+    def test_golden_summary_bytes(self, case):
+        params = EnsembleParams(case["N"], case["alpha"], case["k"])
+        expected = json.dumps(case["expected"])
+        for workers in case["workers"]:
+            summary = run_experiment(
+                params, reps=case["reps"], seed=case["seed"],
+                n_focus=case["n_focus"], workers=workers,
+            )
+            assert json.dumps(summary.to_dict()) == expected
+
+    def test_chunk_matches_fresh_streams(self):
+        """A chunk starting mid-run, over a count of replicates that is not a
+        multiple of its block, counts what fresh per-replicate streams give."""
+        params = EnsembleParams(5e4, 1.3, 1.5)
+        m, start, stop = 40, 37, 37 + 1000
+        lengths, kinds = _simulate_chunk(params, -9, start, stop, m)
+        lam = _means(params, m)
+        want_lengths = np.zeros(m + 1, dtype=np.int64)
+        want_kinds = dict.fromkeys(_ERROR_KINDS, 0)
+        for r in range(start, stop):
+            outcome = ordering_outcome(replicate_stream(-9, r).poisson(lam))
+            want_lengths[outcome.correct_prefix_len] += 1
+            want_kinds[outcome.first_error] += 1
+        assert lengths.tolist() == want_lengths.tolist()
+        assert dict(zip(_ERROR_KINDS, kinds.tolist())) == want_kinds
 
     def test_domain(self):
         with pytest.raises(DomainError):
