@@ -59,13 +59,9 @@ from .simulate import (
     ordering_outcome,
     replicate_stream,
     run_experiment,
-    sample_ensemble,
-    sample_poisson,
     truncation_index,
 )
 from .special import (
-    DEFAULT_PRECISION,
-    Precision,
     hurwitz_zeta,
     ln_gamma,
     normal_cdf,

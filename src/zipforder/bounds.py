@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import DEFAULT_PRECISION, Precision, ln_gamma, normal_cdf, riemann_zeta
+from .special import ln_gamma, normal_cdf, riemann_zeta
 
 __all__ = [
     "EnsembleParams",
@@ -228,11 +228,11 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
     )
 
 
-def threshold_n_hat(T: float, alpha: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def threshold_n_hat(T: float, alpha: float) -> float:
     """Ordering threshold driven by the total count: n' evaluated at N = T / zeta(alpha)."""
     if not (T > 0.0) or math.isinf(T) or math.isnan(T):
         raise DomainError(f"T must be finite and > 0, got {T}")
-    scale = T / riemann_zeta(alpha, prec)
+    scale = T / riemann_zeta(alpha)
     if scale <= 1.0:
         raise DomainError(f"T/zeta(alpha) must exceed 1, got {scale}")
     return threshold_n_prime(scale, alpha).n_prime

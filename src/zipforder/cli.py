@@ -19,7 +19,7 @@ from .bounds import (
     threshold_n_prime,
 )
 from .corpus import analyze, load_rank_counts, write_se_csv, write_zipf_csv
-from .errors import ZipfOrderError
+from .errors import ParseError, ZipfOrderError
 from .simulate import run_experiment
 
 _PROG = "zipforder"
@@ -114,6 +114,13 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _record(payload: dict, fmt: str) -> str:
+    """A one-record report: JSON, or a CSV header and one row of reprs."""
+    if fmt == "csv":
+        return ",".join(payload) + "\n" + ",".join(repr(v) for v in payload.values()) + "\n"
+    return _json(payload)
+
+
 def _cmd_threshold(args) -> str:
     report = threshold_n_prime(args.N, args.alpha)
     payload = {
@@ -124,10 +131,7 @@ def _cmd_threshold(args) -> str:
         "n_prime": report.n_prime,
         "n_prime_floor": report.n_prime_floor,
     }
-    if args.format == "csv":
-        keys = list(payload)
-        return ",".join(keys) + "\n" + ",".join(repr(payload[k]) for k in keys) + "\n"
-    return _json(payload)
+    return _record(payload, args.format)
 
 
 def _cmd_bound(args) -> str:
@@ -161,10 +165,7 @@ def _cmd_pick_n(args) -> str:
         "cap_reached": n == args.n_max,
         "bonferroni_sum": prefix_error_bound(n, params).bonferroni_sum,
     }
-    if args.format == "csv":
-        keys = list(payload)
-        return ",".join(keys) + "\n" + ",".join(repr(payload[k]) for k in keys) + "\n"
-    return _json(payload)
+    return _record(payload, args.format)
 
 
 def _cmd_simulate(args) -> str:
@@ -184,11 +185,15 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_analyze(args) -> str:
     fmt = args.input_format
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
     if fmt == "auto":
         first = next(
             (l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")),

@@ -43,6 +43,7 @@ __all__ = [
 DEFAULT_WINDOW = (10, 100)
 DEFAULT_SLOPES = (-1.0, -1.1)
 _ANCHOR_OFFSET = 0.5  # vertical gap of the reference lines, in log space
+_PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not raised
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,15 @@ class AnalysisReport:
 
 def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> Iterable[str]:
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
+        source = Path(source).read_bytes()
     if isinstance(source, io.TextIOBase):
         return source
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
-        return data.decode("utf-8").splitlines()
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}") from None
     if isinstance(data, str):
         return data.splitlines()
     return data
@@ -246,7 +250,6 @@ def analyze(
     epsilon: float = 0.01,
     alphas: Sequence[float] | None = None,
     slopes: tuple[float, float] = DEFAULT_SLOPES,
-    pick_n_cap: int = 100_000,
 ) -> AnalysisReport:
     """Run the full ordering analysis of one rank-count table.
 
@@ -272,7 +275,7 @@ def analyze(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the cap is reported as a field instead
-        picked = pick_n(params, epsilon, pick_n_cap)
+        picked = pick_n(params, epsilon, _PICK_N_CAP)
 
     grid = tuple(alphas) if alphas is not None else _default_alpha_grid(alpha)
     report = AnalysisReport(
@@ -285,7 +288,7 @@ def analyze(
         n_prime=n_prime,
         n_hat=n_hat,
         pick_n_result=picked,
-        pick_n_cap_reached=picked == pick_n_cap,
+        pick_n_cap_reached=picked == _PICK_N_CAP,
         adjacent_se=adjacent_se(counts),
         zipf_points=zipf_plot_data(counts, slopes),
         reference_slopes=slopes,

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .bounds import threshold_n_prime
 from .errors import DomainError
-from .special import DEFAULT_PRECISION, Precision, hurwitz_zeta
+from .special import hurwitz_zeta
 
 __all__ = [
     "RankedCounts",
@@ -29,13 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankedCounts:
-    """An ordered table of per-rank counts, rank i = position i (1-based).
+    """An observed table of per-rank counts, rank i = position i (1-based).
 
-    For observed data tables rank is defined by count order, so counts must
-    be nonincreasing; construction rejects violations.  Draws from a count
-    ensemble instead carry true-rank indexing where inversions are the
-    object of study: they are built with ``index_ranked=True``, which skips
-    the monotonicity check.
+    Rank is defined by count order, so counts must be nonincreasing;
+    construction rejects violations.  Simulated draws, whose inversions are
+    the object of study, are plain arrays (see ``ordering_outcome``).
 
     ``total`` defaults to the table sum but may be supplied larger for
     truncated tables (published lists often stop at a count floor while the
@@ -45,7 +43,6 @@ class RankedCounts:
     counts: tuple[float, ...]
     labels: tuple[str, ...] | None = None
     total: float | None = None
-    index_ranked: bool = False
 
     def __post_init__(self):
         if len(self.counts) == 0:
@@ -53,13 +50,12 @@ class RankedCounts:
         for c in self.counts:
             if not (c >= 0.0) or math.isinf(c):
                 raise DomainError(f"counts must be finite and >= 0, got {c}")
-        if not self.index_ranked:
-            for i in range(len(self.counts) - 1):
-                if self.counts[i] < self.counts[i + 1]:
-                    raise DomainError(
-                        f"counts must be nonincreasing (rank is count order); "
-                        f"rank {i + 1} has {self.counts[i]} < {self.counts[i + 1]}"
-                    )
+        for i in range(len(self.counts) - 1):
+            if self.counts[i] < self.counts[i + 1]:
+                raise DomainError(
+                    f"counts must be nonincreasing (rank is count order); "
+                    f"rank {i + 1} has {self.counts[i]} < {self.counts[i + 1]}"
+                )
         if self.labels is not None and len(self.labels) != len(self.counts):
             raise DomainError("labels and counts must have equal length")
         observed = math.fsum(self.counts)
@@ -118,9 +114,7 @@ class SensitivityReport:
             raise DomainError("alphas must be strictly increasing")
 
 
-def estimate_N_total(
-    T: float, alpha: float, k: float, prec: Precision = DEFAULT_PRECISION
-) -> float:
+def estimate_N_total(T: float, alpha: float, k: float) -> float:
     """Scale estimate N = T / zeta(alpha, k+1) from the corpus total T.
 
     The expected total of the ensemble is N sum over i >= 1 of (i+k)^-alpha,
@@ -131,7 +125,7 @@ def estimate_N_total(
         raise DomainError(f"T must be finite and > 0, got {T}")
     if not (k >= 0.0) or math.isinf(k) or math.isnan(k):
         raise DomainError(f"k must be finite and >= 0, got {k}")
-    return T / hurwitz_zeta(alpha, k + 1.0, prec)
+    return T / hurwitz_zeta(alpha, k + 1.0)
 
 
 def local_scale_estimates(

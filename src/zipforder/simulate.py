@@ -39,23 +39,22 @@ worker count, the block size or how chunks are cut.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import EnsembleParams, poisson_upper_tail_bound, threshold_n_prime
 from .errors import ConfigurationError, DomainError
-from .estimate import RankedCounts
 
 __all__ = [
     "OrderingOutcome",
     "ExperimentSummary",
     "replicate_stream",
-    "sample_poisson",
     "truncation_index",
-    "sample_ensemble",
     "ordering_outcome",
     "run_experiment",
 ]
@@ -112,13 +111,6 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, replicate) pair."""
     key = np.array(_stream_key(seed, replicate), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_poisson(lam: float, stream: np.random.Generator) -> int:
-    """One exact Poisson(lam) draw; constant expected cost in lam."""
-    if not (lam >= 0.0) or math.isinf(lam) or math.isnan(lam):
-        raise DomainError(f"lam must be finite and >= 0, got {lam}")
-    return int(stream.poisson(lam))
 
 
 def _means(params: EnsembleParams, m: int) -> np.ndarray:
@@ -192,24 +184,6 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
     )
 
 
-def sample_ensemble(
-    params: EnsembleParams, m: int, stream: np.random.Generator
-) -> RankedCounts:
-    """Draw counts for ranks 1..M in index order (index is the true rank).
-
-    The draws are intentionally not re-sorted; inversions relative to the
-    index order are exactly what the ordering analysis studies.
-    """
-    if m < 1:
-        raise DomainError(f"M must be >= 1, got {m}")
-    draws = stream.poisson(_means(params, m))
-    return RankedCounts(
-        counts=tuple(int(x) for x in draws),
-        total=float(draws.sum()),
-        index_ranked=True,
-    )
-
-
 def _classify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Correct-prefix length, error kind index and 1-based blocker of each row.
 
@@ -244,10 +218,12 @@ def _classify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prefix, kind, blocker + 1
 
 
-def ordering_outcome(counts: Sequence[int] | np.ndarray | RankedCounts) -> OrderingOutcome:
-    """Correct-prefix length and first-error classification of one draw."""
-    if isinstance(counts, RankedCounts):
-        counts = counts.counts
+def ordering_outcome(counts: Sequence[int] | np.ndarray) -> OrderingOutcome:
+    """Correct-prefix length and first-error classification of one draw.
+
+    ``counts`` holds the draw in true-rank order, X_1 first; it is not
+    re-sorted, since its inversions are what the classification describes.
+    """
     x = np.asarray(counts)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("counts must be a nonempty one-dimensional sequence")
@@ -303,7 +279,8 @@ def run_experiment(
 
     Deterministic given (seed, reps, params, n_focus): outcomes depend only
     on per-replicate streams, and per-chunk aggregates merge by addition, so
-    the worker count changes nothing but wall time.
+    the worker count changes nothing but wall time.  At most
+    min(workers, reps, CPU count) processes are started.
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
@@ -313,17 +290,17 @@ def run_experiment(
         n_focus = math.ceil(threshold_n_prime(params.N, params.alpha).n_prime)
     m = truncation_index(params, n_focus, 1e-6)
 
+    # a forked pool starts all its processes at the first job, so it gets
+    # no more than there are chunks of work and cores to run them
+    workers = min(workers, reps, os.cpu_count() or 1)
     if workers == 1:
         parts = [_simulate_chunk(params, seed, 0, reps, m)]
     else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        jobs = [
-            (params, seed, int(lo), int(hi), m)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        cuts = np.linspace(0, reps, workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk_star, jobs))
+            parts = list(pool.map(
+                _simulate_chunk, repeat(params), repeat(seed), cuts[:-1], cuts[1:], repeat(m)
+            ))
 
     lengths = sum(part[0] for part in parts)
     kinds = sum(part[1] for part in parts)
@@ -335,7 +312,3 @@ def run_experiment(
         truncation_m=m,
         n_focus=n_focus,
     )
-
-
-def _simulate_chunk_star(args) -> tuple[np.ndarray, np.ndarray]:
-    return _simulate_chunk(*args)

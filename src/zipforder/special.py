@@ -10,15 +10,12 @@ meets the accuracy contract here; only domain validation is added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Precision",
-    "DEFAULT_PRECISION",
     "ln_gamma",
     "normal_cdf",
     "riemann_zeta",
@@ -26,22 +23,10 @@ __all__ = [
     "solve_zeta_equals",
 ]
 
-
-@dataclass(frozen=True)
-class Precision:
-    """Tolerance and iteration budget for the iterative routines."""
-
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-3):
-            raise DomainError(f"rel_tol must lie in (0, 1e-3), got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_PRECISION = Precision()
+# relative accuracy of every zeta value, and the iteration budget of the
+# bracket search and root polish in solve_zeta_equals
+_REL_TOL = 1e-12
+_MAX_ITER = 200
 
 
 def ln_gamma(x: float) -> float:
@@ -77,12 +62,12 @@ _B2K = (
 )
 
 
-def _hurwitz_em(alpha: float, h: float, head: int, rel_tol: float) -> tuple[float, bool]:
+def _hurwitz_em(alpha: float, h: float, head: int) -> tuple[float, bool]:
     """One Euler-Maclaurin evaluation of zeta(alpha, h) with ``head`` terms.
 
     Returns (value, converged).  For real alpha the correction series
     envelopes the true value, so the magnitude of the next term bounds the
-    remainder; convergence means that bound dropped below rel_tol.
+    remainder; convergence means that bound dropped below _REL_TOL.
     """
     acc = math.fsum((h + k) ** -alpha for k in range(head))
     x = h + head
@@ -97,7 +82,7 @@ def _hurwitz_em(alpha: float, h: float, head: int, rel_tol: float) -> tuple[floa
         if abs(term) >= prev:
             return acc, False  # series turned before reaching tolerance
         acc += term
-        if abs(term) <= rel_tol * abs(acc):
+        if abs(term) <= _REL_TOL * abs(acc):
             return acc, True
         prev = abs(term)
         rising *= (alpha + 2 * j - 1) * (alpha + 2 * j)
@@ -105,31 +90,29 @@ def _hurwitz_em(alpha: float, h: float, head: int, rel_tol: float) -> tuple[floa
     return acc, False
 
 
-def hurwitz_zeta(alpha: float, h: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def hurwitz_zeta(alpha: float, h: float) -> float:
     """Hurwitz zeta: sum over l >= 0 of (l + h)^(-alpha), for alpha > 1, h > 0."""
     if not (alpha > 1.0) or math.isinf(alpha) or math.isnan(alpha):
         raise DomainError(f"hurwitz_zeta requires finite alpha > 1, got {alpha}")
     if not (h > 0.0) or math.isinf(h):
         raise DomainError(f"hurwitz_zeta requires finite h > 0, got {h}")
     head = 16
-    for _ in range(prec.max_iter):
-        value, ok = _hurwitz_em(alpha, h, head, prec.rel_tol)
+    while head <= 4_194_304:
+        value, ok = _hurwitz_em(alpha, h, head)
         if ok:
             return value
         head *= 2
-        if head > 4_194_304:
-            break
     raise ConvergenceError(
-        f"hurwitz_zeta({alpha}, {h}) did not reach rel_tol={prec.rel_tol}"
+        f"hurwitz_zeta({alpha}, {h}) did not reach rel_tol={_REL_TOL}"
     )
 
 
-def riemann_zeta(alpha: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def riemann_zeta(alpha: float) -> float:
     """Riemann zeta for real alpha > 1."""
-    return hurwitz_zeta(alpha, 1.0, prec)
+    return hurwitz_zeta(alpha, 1.0)
 
 
-def solve_zeta_equals(c: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def solve_zeta_equals(c: float) -> float:
     """Invert the Riemann zeta: find alpha > 1 with zeta(alpha) = c.
 
     zeta is strictly decreasing from +inf to 1 on (1, inf), so any c > 1 has
@@ -140,32 +123,32 @@ def solve_zeta_equals(c: float, prec: Precision = DEFAULT_PRECISION) -> float:
         raise DomainError(f"solve_zeta_equals requires finite c > 1, got {c}")
 
     lo_off = 1.0
-    for _ in range(prec.max_iter):
-        if riemann_zeta(1.0 + lo_off, prec) >= c:
+    for _ in range(_MAX_ITER):
+        if riemann_zeta(1.0 + lo_off) >= c:
             break
         lo_off /= 2.0
     else:
         raise ConvergenceError(f"could not bracket zeta = {c} from below")
     hi_off = max(lo_off, 1.0)
-    for _ in range(prec.max_iter):
-        if riemann_zeta(1.0 + hi_off, prec) <= c:
+    for _ in range(_MAX_ITER):
+        if riemann_zeta(1.0 + hi_off) <= c:
             break
         hi_off *= 2.0
     else:
         raise ConvergenceError(f"could not bracket zeta = {c} from above")
 
     root, res = brentq(
-        lambda a: riemann_zeta(a, prec) - c,
+        lambda a: riemann_zeta(a) - c,
         1.0 + lo_off,
         1.0 + hi_off,
         xtol=1e-14,
         rtol=4 * math.ulp(1.0),
-        maxiter=prec.max_iter,
+        maxiter=_MAX_ITER,
         full_output=True,
         disp=False,
     )
-    residual = abs(riemann_zeta(root, prec) - c)
-    if not res.converged or residual > 10.0 * c * prec.rel_tol:
+    residual = abs(riemann_zeta(root) - c)
+    if not res.converged or residual > 10.0 * c * _REL_TOL:
         raise ConvergenceError(
             f"zeta inversion at c={c} stalled (residual {residual:.3e})"
         )

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, schemas, determinism, file and stdin round trips."""
 
+import io
 import json
 
 import pytest
@@ -92,6 +93,15 @@ class TestPickN:
         assert payload["n"] == 10
         assert payload["cap_reached"] is True
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "pick-n", "--N", "1e7", "--alpha", "1.106", "--format", "csv"
+        )
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "n,epsilon,n_max,cap_reached,bonferroni_sum"
+        assert row.split(",")[:4] == ["69", "0.01", "100000", "False"]
+
 
 class TestSimulate:
     def test_deterministic_bytes(self, capsys):
@@ -157,8 +167,6 @@ class TestAnalyze:
         }
 
     def test_stdin_csv(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("a,90\nb,40\nc,10\n"))
         code, out, _ = run_cli(
             capsys, "analyze", "--input", "-", "--alpha", "1.5",
@@ -191,6 +199,27 @@ class TestAnalyze:
         )
         assert code == 1
         assert "line 2" in err
+
+    def test_non_utf8_file_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\t9\n\xff\t3\n")
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", str(bad), "--alpha", "1.1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:") and "UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin_exit_code(self, capsys, monkeypatch, errors):
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"a,9\n\xff,3\n"), encoding="utf-8", errors=errors
+        )
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "analyze", "--input", "-", "--alpha", "1.1")
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:") and "UTF-8" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -63,6 +63,12 @@ class TestLoadRankCounts:
         table = load_rank_counts(io.StringIO("a,9\n"), fmt="csv", total=100.0)
         assert table.total == 100.0
 
+    def test_non_utf8_path_is_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\t9\n\xff\t3\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_rank_counts(bad)
+
     def test_bad_format_rejected(self):
         with pytest.raises(DomainError):
             load_rank_counts(io.StringIO("a,9\n"), fmt="xlsx")
@@ -92,17 +98,13 @@ class TestAdjacentSe:
     def test_sign_matches_direct_comparison(self):
         rng = np.random.default_rng(55)
         for _ in range(200):
-            x = rng.integers(0, 30, size=10)
-            table = RankedCounts(counts=tuple(float(v) for v in x), index_ranked=True)
+            x = np.sort(rng.integers(0, 30, size=10))[::-1]
+            table = RankedCounts(counts=tuple(float(v) for v in x))
             for (a, b), se in zip(zip(x, x[1:]), adjacent_se(table)):
-                if a + b == 0:
-                    assert se == 0.0
-                elif a > b:
+                if a > b:
                     assert se > 0
-                elif a == b:
-                    assert se == 0.0
                 else:
-                    assert se < 0
+                    assert se == 0.0
 
 
 class TestZipfPlotData:

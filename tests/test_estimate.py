@@ -30,10 +30,6 @@ class TestRankedCounts:
         with pytest.raises(DomainError, match="nonincreasing"):
             RankedCounts(counts=(3.0, 9.0, 5.0))
 
-    def test_index_ranked_allows_inversions(self):
-        t = RankedCounts(counts=(3.0, 9.0, 5.0), index_ranked=True)
-        assert t.count(2) == 9.0
-
     def test_total_override(self):
         t = RankedCounts(counts=(5.0, 3.0), total=100.0)
         assert t.total == 100.0
@@ -113,7 +109,7 @@ class TestLocalScaleEstimates:
             local_scale_estimates(t, 1.5, 2, 1)
 
     def test_summary_statistics(self):
-        t = RankedCounts(counts=(10.0, 10.0, 10.0), index_ranked=True)
+        t = RankedCounts(counts=(10.0, 10.0, 10.0))
         est = local_scale_estimates(t, 2.0, 1, 3)
         values = [v for _, v in est.rows]
         assert est.minimum == min(values)
@@ -122,7 +118,6 @@ class TestLocalScaleEstimates:
 
     def test_corpus_rank10_scale(self):
         """The rank-10 count from the real corpus table gives N_10 = X_10 * 10^alpha."""
-        t = RankedCounts(counts=(1090186.0, 1039323.0), index_ranked=True)
         est = local_scale_estimates(
             RankedCounts(counts=(1039323.0,)), 1.106, 1, 1
         )

@@ -14,13 +14,10 @@ from zipforder import (
     DomainError,
     EnsembleParams,
     OrderingOutcome,
-    RankedCounts,
     ordering_outcome,
     prefix_error_bound,
     replicate_stream,
     run_experiment,
-    sample_ensemble,
-    sample_poisson,
     truncation_index,
 )
 from zipforder.simulate import _ERROR_KINDS, _classify, _means, _simulate_chunk
@@ -41,8 +38,7 @@ def bnc_run():
 
 class TestSamplePoisson:
     def test_zero_mean_is_degenerate(self):
-        stream = replicate_stream(1, 0)
-        assert all(sample_poisson(0.0, stream) == 0 for _ in range(100))
+        assert not replicate_stream(1, 0).poisson(0.0, size=100).any()
 
     def test_mean_at_four(self):
         """Empirical mean over 1e6 draws within a 5-sigma band of 4."""
@@ -70,13 +66,6 @@ class TestSamplePoisson:
         observed = np.histogram(draws, bins=np.concatenate([[-np.inf], cuts + 0.5, [np.inf]]))[0]
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.isf(0.001, n_bins - 1)
-
-    def test_domain(self):
-        stream = replicate_stream(4, 0)
-        with pytest.raises(DomainError):
-            sample_poisson(-1.0, stream)
-        with pytest.raises(DomainError):
-            sample_poisson(math.inf, stream)
 
 
 class TestTruncationIndex:
@@ -116,12 +105,6 @@ class TestTruncationIndex:
 
 
 class TestSampleEnsemble:
-    def test_shape_and_type(self):
-        table = sample_ensemble(BNC_PARAMS, 50, replicate_stream(5, 0))
-        assert isinstance(table, RankedCounts)
-        assert len(table) == 50
-        assert table.index_ranked
-
     def test_rank_one_mean(self):
         """Average first count over 1e4 replicates within 3 sigma of N."""
         params = EnsembleParams(1e4, 2.0)
@@ -138,10 +121,6 @@ class TestSampleEnsemble:
         draws = np.array([replicate_stream(7, r).poisson(lam) for r in range(10_000)])
         corr = float(np.corrcoef(draws[:, 0], draws[:, 1])[0, 1])
         assert abs(corr) <= 5.0 / math.sqrt(10_000)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sample_ensemble(BNC_PARAMS, 0, replicate_stream(8, 0))
 
 
 class TestOrderingOutcome:
@@ -176,10 +155,6 @@ class TestOrderingOutcome:
     def test_singleton(self):
         assert ordering_outcome([7]) == OrderingOutcome(1, "none")
 
-    def test_accepts_ranked_counts(self):
-        table = RankedCounts(counts=(5.0, 3.0, 4.0), index_ranked=True)
-        assert ordering_outcome(table).first_error == "transposition"
-
     def test_brute_force_equivalence(self):
         """Incremental scan agrees with the literal all-prefixes definition
         on 1e5 random vectors (length <= 12, values <= 8)."""
@@ -209,8 +184,7 @@ class TestOrderingOutcome:
         for x in (block, block.astype(np.float64)):
             prefix, kind, blocker = _classify(x)
             for row, l, k, b in zip(x, prefix, kind, blocker):
-                table = RankedCounts(counts=tuple(float(v) for v in row), index_ranked=True)
-                single = ordering_outcome(table)
+                single = ordering_outcome(tuple(row.tolist()))
                 assert single == ordering_outcome(row)
                 assert (single.correct_prefix_len, single.first_error) == (l, _ERROR_KINDS[k])
                 if single.blocker_index is not None:
@@ -261,6 +235,33 @@ class TestRunExperiment:
         lone = run_experiment(params, reps=60, seed=99, n_focus=10, workers=1)
         quad = run_experiment(params, reps=60, seed=99, n_focus=10, workers=4)
         assert lone == quad
+
+    def test_pool_sized_to_work(self, monkeypatch):
+        """A pool gets at most min(workers, reps, cores) processes, and a
+        single chunk runs in process; none is started here."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("zipforder.simulate.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        params = EnsembleParams(5e4, 1.3)
+        for reps, want in ((1, []), (3, [3]), (60, [4])):
+            pools.clear()
+            many = run_experiment(params, reps=reps, seed=99, n_focus=10, workers=64)
+            assert pools == want
+            assert many == run_experiment(params, reps=reps, seed=99, n_focus=10)
 
     def test_seed_changes_outcome(self):
         params = EnsembleParams(5e4, 1.3)

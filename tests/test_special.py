@@ -9,7 +9,6 @@ import pytest
 from zipforder import (
     ConvergenceError,
     DomainError,
-    Precision,
     hurwitz_zeta,
     ln_gamma,
     normal_cdf,
@@ -18,22 +17,6 @@ from zipforder import (
 )
 
 mp.mp.dps = 30
-
-
-class TestPrecision:
-    def test_defaults(self):
-        p = Precision()
-        assert p.rel_tol == 1e-12
-        assert p.max_iter == 200
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1e-3, 0.5])
-    def test_rel_tol_domain(self, rel_tol):
-        with pytest.raises(DomainError):
-            Precision(rel_tol=rel_tol)
-
-    def test_max_iter_domain(self):
-        with pytest.raises(DomainError):
-            Precision(max_iter=0)
 
 
 class TestLnGamma:
@@ -174,9 +157,10 @@ class TestSolveZetaEquals:
             alpha = solve_zeta_equals(c)
             assert abs(riemann_zeta(alpha) - c) <= 10.0 * c * 1e-12
 
-    def test_starved_iteration_budget(self):
+    def test_starved_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr("zipforder.special._MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            solve_zeta_equals(10.0, Precision(max_iter=1))
+            solve_zeta_equals(10.0)
 
     @pytest.mark.parametrize("c", [1.0, 0.3, -4.0, math.inf])
     def test_domain(self, c):
