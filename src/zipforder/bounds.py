@@ -23,7 +23,6 @@ All functions are pure; "log" is the natural log throughout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -175,8 +174,9 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
 
     The Bonferroni sum is nondecreasing in n (its terms are nonnegative), so
     the scan stops at the first n whose sum exceeds epsilon.  The empty bound
-    for n = 1 is 0, hence the result is always >= 1.  Hitting n_max is
-    reported with a warning since a larger prefix might still qualify.
+    for n = 1 is 0, hence the result is always >= 1.  A result equal to
+    n_max means the cap stopped the scan, and a larger prefix might still
+    qualify; callers report that as a field.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -196,12 +196,6 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
     best = len(terms) + 1
     while best > 1 and math.fsum(terms[: best - 1]) > epsilon:
         best -= 1
-    if best == n_max:
-        warnings.warn(
-            f"pick_n reached the search cap n_max={n_max}; "
-            "the admissible prefix may extend further",
-            stacklevel=2,
-        )
     return best
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from .bounds import (
     EnsembleParams,
@@ -19,7 +18,7 @@ from .bounds import (
     threshold_n_prime,
 )
 from .corpus import analyze, load_rank_counts, write_se_csv, write_zipf_csv
-from .errors import ParseError, ZipfOrderError
+from .errors import ZipfOrderError
 from .simulate import run_experiment
 
 _PROG = "zipforder"
@@ -155,9 +154,7 @@ def _cmd_bound(args) -> str:
 
 def _cmd_pick_n(args) -> str:
     params = EnsembleParams(args.N, args.alpha, args.k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        n = pick_n(params, args.epsilon, args.n_max)
+    n = pick_n(params, args.epsilon, args.n_max)
     payload = {
         "n": n,
         "epsilon": args.epsilon,
@@ -184,23 +181,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
-    fmt = args.input_format
-    try:
-        if args.input == "-":
-            text = sys.stdin.read()
-            text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except UnicodeError as exc:
-        raise ParseError(f"input is not UTF-8: {exc}") from None
-    if fmt == "auto":
-        first = next(
-            (l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")),
-            "",
-        )
-        fmt = "tsv" if "\t" in first else "csv"
-    counts = load_rank_counts(text.splitlines(), fmt=fmt, total=args.total)
+    source = sys.stdin if args.input == "-" else args.input
+    counts = load_rank_counts(source, fmt=args.input_format, total=args.total)
     report = analyze(
         counts,
         alpha=args.alpha,

@@ -10,9 +10,7 @@ rendering is left to external tools, only plot data is emitted.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -122,20 +120,20 @@ class AnalysisReport:
         }
 
 
-def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> Iterable[str]:
+def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> list[str]:
+    """The lines of a path, bytes, a binary or text stream, or an iterable of lines."""
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
-    if isinstance(source, io.TextIOBase):
-        return source
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
-        try:
+    try:
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, bytes):
             data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from None
-    if isinstance(data, str):
-        return data.splitlines()
-    return data
+        if isinstance(data, str):
+            data.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
+            return data.splitlines()
+    except UnicodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
+    return list(data)
 
 
 def load_rank_counts(
@@ -145,18 +143,23 @@ def load_rank_counts(
 
     Records are sorted by count descending and ranks reassigned 1..len; the
     sort is stable, so ties keep their input order.  ``total`` overrides the
-    table sum for truncated tables.
+    table sum for truncated tables.  ``fmt="auto"`` picks TSV when the first
+    line that is not blank or a '#' comment holds a tab, and CSV otherwise.
     """
-    if fmt not in ("tsv", "csv"):
-        raise DomainError(f"format must be 'tsv' or 'csv', got {fmt!r}")
+    if fmt not in ("tsv", "csv", "auto"):
+        raise DomainError(f"format must be 'tsv', 'csv' or 'auto', got {fmt!r}")
+    lines = _text_lines(source)
+    if fmt == "auto":
+        first = next(
+            (l for l in lines if l.strip() and not l.lstrip().startswith("#")), ""
+        )
+        fmt = "tsv" if "\t" in first else "csv"
     delimiter = "\t" if fmt == "tsv" else ","
     labels: list[str] = []
     counts: list[int] = []
     saw_data = False
     header_skipped = False
-    for line_no, row in enumerate(
-        csv.reader(_text_lines(source), delimiter=delimiter), start=1
-    ):
+    for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
         if not row or not "".join(row).strip() or row[0].lstrip().startswith("#"):
             continue
         fields = [f.strip() for f in row]
@@ -224,10 +227,6 @@ def zipf_plot_data(
             points.append((i, math.log(i), math.log(c)))
         else:
             skipped.append(i)
-    if skipped:
-        warnings.warn(
-            f"{len(skipped)} zero count(s) skipped in the log-log plot", stacklevel=2
-        )
     top = max(p[2] for p in points)
     lines = (
         ReferenceLine(slope=slopes[0], intercept=top + _ANCHOR_OFFSET),
@@ -273,9 +272,7 @@ def analyze(
     n_prime = threshold_n_prime(scales.minimum, alpha).n_prime
     n_hat = threshold_n_hat(total, alpha)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the cap is reported as a field instead
-        picked = pick_n(params, epsilon, _PICK_N_CAP)
+    picked = pick_n(params, epsilon, _PICK_N_CAP)
 
     grid = tuple(alphas) if alphas is not None else _default_alpha_grid(alpha)
     report = AnalysisReport(

@@ -242,8 +242,8 @@ def _simulate_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts of prefix lengths 0..M and of error kinds over replicates start..stop-1."""
     lam = _means(params, m)
-    bit_gen = np.random.Philox(key=np.array(_stream_key(seed, start), dtype=np.uint64))
-    stream = np.random.Generator(bit_gen)
+    stream = replicate_stream(seed, start)
+    bit_gen = stream.bit_generator
     # the state Philox(key=...) starts in: counter 0, empty buffer
     keyed = {
         "bit_generator": "Philox",

@@ -1,7 +1,6 @@
 """Analytic bound values, hand-computed anchors, and dominance over exact oracles."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -222,13 +221,7 @@ class TestPickN:
                 assert pick_n(BNC_PARAMS, eps, 1000) == n
 
     def test_cap_returns_one(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert pick_n(BNC_PARAMS, 0.01, 1) == 1
-
-    def test_cap_warns(self):
-        with pytest.warns(UserWarning, match="cap"):
-            pick_n(BNC_PARAMS, 0.01, 10)
+        assert pick_n(BNC_PARAMS, 0.01, 1) == 1
 
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):

@@ -229,6 +229,26 @@ class TestAnalyze:
         assert "error" in err
 
 
+@pytest.mark.filterwarnings("error")
+class TestQuietSuccess:
+    """Conditions a run meets are report fields, so success writes no stderr."""
+
+    def test_analyze_zero_counts(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a,90\nb,40\nc,10\nd,0\ne,0\n"))
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", "-", "--alpha", "1.5", "--window", "1", "3"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["zipf_points"]["skipped_ranks"] == [4, 5]
+
+    def test_pick_n_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pick-n", "--N", "1e7", "--alpha", "1.106", "--n-max", "10"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["cap_reached"] is True
+
+
 class TestOutputFile:
     def test_out_path(self, capsys, tmp_path):
         target = tmp_path / "report.json"

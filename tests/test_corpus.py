@@ -24,14 +24,17 @@ from zipforder import (
 
 class TestLoadRankCounts:
     def test_tsv_two_rows(self):
-        table = load_rank_counts(io.StringIO("the\t6187267\nbe\t4239632\n"), fmt="tsv")
+        text = "the\t6187267\nbe\t4239632\n"
+        table = load_rank_counts(io.StringIO(text), fmt="tsv")
         assert table.counts == (6187267.0, 4239632.0)
         assert table.labels == ("the", "be")
+        assert load_rank_counts(io.StringIO(text), fmt="auto") == table
 
     def test_csv_single_row(self):
         table = load_rank_counts(io.StringIO("x,5\n"), fmt="csv")
         assert len(table) == 1
         assert table.total == 5.0
+        assert load_rank_counts(io.StringIO("x,5\n"), fmt="auto") == table
 
     def test_unsorted_input_sorted(self):
         table = load_rank_counts(io.StringIO("a,3\nb,9\nc,5\n"), fmt="csv")
@@ -47,9 +50,11 @@ class TestLoadRankCounts:
         assert table.labels == ("foo", "bar")
 
     def test_header_and_comments_skipped(self):
-        text = "# word frequency list\nword,count\na,9\nb,3\n"
+        text = "#\tword frequency list\nword,count\na,9\nb,3\n"
         table = load_rank_counts(io.StringIO(text), fmt="csv")
         assert table.counts == (9.0, 3.0)
+        # auto looks past the comment, whose tab says nothing of the delimiter
+        assert load_rank_counts(io.StringIO(text), fmt="auto") == table
 
     def test_malformed_count_has_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -68,6 +73,14 @@ class TestLoadRankCounts:
         bad.write_bytes(b"a\t9\n\xff\t3\n")
         with pytest.raises(ParseError, match="UTF-8"):
             load_rank_counts(bad)
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_text_stream_is_parse_error(self, errors):
+        stream = io.TextIOWrapper(
+            io.BytesIO(b"a\t9\n\xff\t3\n"), encoding="utf-8", errors=errors
+        )
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_rank_counts(stream)
 
     def test_bad_format_rejected(self):
         with pytest.raises(DomainError):
@@ -124,8 +137,7 @@ class TestZipfPlotData:
 
     def test_zero_counts_skipped_and_reported(self):
         table = RankedCounts(counts=(10.0, 0.0, 0.0))
-        with pytest.warns(UserWarning, match="zero count"):
-            plot = zipf_plot_data(table)
+        plot = zipf_plot_data(table)
         assert len(plot.points) == 1
         assert plot.skipped_ranks == (2, 3)
 
