@@ -103,9 +103,9 @@ def skellam_order_bound(lam: float, nu: float) -> float:
     Requires lam >= nu > 0 and returns exp(-(sqrt(lam) - sqrt(nu))^2),
     obtained by minimising the Laplace transform of the difference X - Y.
     """
-    if not (nu > 0.0) or math.isinf(nu) or math.isnan(nu):
+    if not (nu > 0.0) or math.isinf(nu):
         raise DomainError(f"nu must be finite and > 0, got {nu}")
-    if not (lam >= nu) or math.isinf(lam) or math.isnan(lam):
+    if not (lam >= nu) or math.isinf(lam):
         raise DomainError(f"need lam >= nu > 0, got lam={lam}, nu={nu}")
     return math.exp(-((math.sqrt(lam) - math.sqrt(nu)) ** 2))
 
@@ -117,7 +117,7 @@ def _poisson_point_mass(lam: float, t: float) -> float:
 
 def poisson_upper_tail_bound(lam: float, t: float) -> float:
     """Exponential bound on Pr(Poi(lam) >= t), valid for real t >= lam > 0."""
-    if not (lam > 0.0) or math.isinf(lam) or math.isnan(lam):
+    if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"lam must be finite and > 0, got {lam}")
     if not (t >= lam) or math.isinf(t):
         raise DomainError(f"upper tail bound needs t >= lam, got t={t}, lam={lam}")
@@ -126,12 +126,10 @@ def poisson_upper_tail_bound(lam: float, t: float) -> float:
 
 def poisson_lower_tail_bound(lam: float, t: float) -> float:
     """Exponential bound on Pr(Poi(lam) <= t), valid for real 0 <= t < lam."""
-    if not (lam > 0.0) or math.isinf(lam) or math.isnan(lam):
+    if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"lam must be finite and > 0, got {lam}")
     if not (0.0 <= t < lam):
         raise DomainError(f"lower tail bound needs 0 <= t < lam, got t={t}, lam={lam}")
-    if t == 0.0:
-        return math.exp(-lam)  # log(lam) term vanishes with t
     return _poisson_point_mass(lam, t) / (1.0 - t / lam)
 
 
@@ -201,7 +199,7 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
 
 def threshold_A(alpha: float) -> float:
     """The threshold constant A(alpha) = alpha^2 (alpha + 2) / 4 (> 3/4 for alpha > 1)."""
-    if not (alpha > 1.0) or math.isinf(alpha) or math.isnan(alpha):
+    if not (alpha > 1.0) or math.isinf(alpha):
         raise DomainError(f"alpha must be finite and > 1, got {alpha}")
     return alpha * alpha * (alpha + 2.0) / 4.0
 
@@ -209,7 +207,7 @@ def threshold_A(alpha: float) -> float:
 def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
     """Ordering threshold n' = (A(alpha) N / ln N)^(1/(alpha+2))."""
     a_const = threshold_A(alpha)
-    if not (N > 1.0) or math.isinf(N) or math.isnan(N):
+    if not (N > 1.0) or math.isinf(N):
         raise DomainError(f"threshold needs finite N > 1, got {N}")
     log_n = math.log(N)
     n_prime = (a_const * N / log_n) ** (1.0 / (alpha + 2.0))
@@ -224,7 +222,7 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
 
 def threshold_n_hat(T: float, alpha: float) -> float:
     """Ordering threshold driven by the total count: n' evaluated at N = T / zeta(alpha)."""
-    if not (T > 0.0) or math.isinf(T) or math.isnan(T):
+    if not (T > 0.0) or math.isinf(T):
         raise DomainError(f"T must be finite and > 0, got {T}")
     scale = T / riemann_zeta(alpha)
     if scale <= 1.0:
@@ -291,7 +289,7 @@ def swap_lower_bound(i: int, params: EnsembleParams) -> float:
     lam_next = params.mean_of(i + 1)
     sd = math.sqrt(lam_next)
     phi = normal_cdf((lam_next - lam_i) / sd)
-    return math.exp(-1.0) * max(0.0, phi - 0.8 / sd)
+    return teicher_floor() * max(0.0, phi - 0.8 / sd)
 
 
 def teicher_floor() -> float:

@@ -42,17 +42,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("threshold", help="ordering threshold n' = (A N / ln N)^(1/(alpha+2))")
+    p.set_defaults(handler=_cmd_threshold)
     _add_ensemble_flags(p, with_k=False)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default json)")
 
     p = sub.add_parser("bound", help="Bonferroni misordering bound for a prefix of n ranks")
+    p.set_defaults(handler=_cmd_bound)
     _add_ensemble_flags(p)
     p.add_argument("--n", type=int, required=True, help="prefix length n >= 1")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="json report, or csv rows i,term (default json)")
 
     p = sub.add_parser("pick-n", help="largest prefix whose error bound stays below epsilon")
+    p.set_defaults(handler=_cmd_pick_n)
     _add_ensemble_flags(p)
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="error budget in (0,1) (default 0.01)")
@@ -62,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output format (default json)")
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of the count ensemble")
+    p.set_defaults(handler=_cmd_simulate)
     _add_ensemble_flags(p)
     p.add_argument("--seed", type=int, required=True,
                    help="64-bit stream seed; required so runs are reproducible")
@@ -74,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="json summary, or csv histogram rows L,count (default json)")
 
     p = sub.add_parser("analyze", help="full analysis of a rank-count table")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--input", required=True, help="TSV/CSV path, or '-' for stdin")
     p.add_argument("--input-format", choices=("tsv", "csv", "auto"), default="auto",
                    help="input delimiter; auto sniffs tabs (default auto)")
@@ -95,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--se-csv", default=None,
                    help="also write adjacent standard errors to this CSV path")
 
-    for name, sp in sub.choices.items():
+    for sp in sub.choices.values():
         sp.add_argument("--out", default="-",
                         help="output path, '-' for stdout (default stdout)")
     return parser
@@ -113,10 +118,16 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _csv(header: str, rows) -> str:
+    """A CSV header line, then one line of comma-joined reprs per row."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _record(payload: dict, fmt: str) -> str:
     """A one-record report: JSON, or a CSV header and one row of reprs."""
     if fmt == "csv":
-        return ",".join(payload) + "\n" + ",".join(repr(v) for v in payload.values()) + "\n"
+        return _csv(",".join(payload), [payload.values()])
     return _json(payload)
 
 
@@ -136,9 +147,7 @@ def _cmd_threshold(args) -> str:
 def _cmd_bound(args) -> str:
     report = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha, args.k))
     if args.format == "csv":
-        lines = ["i,term"]
-        lines += [f"{i},{t!r}" for i, t in enumerate(report.per_pair_terms, start=1)]
-        return "\n".join(lines) + "\n"
+        return _csv("i,term", enumerate(report.per_pair_terms, start=1))
     return _json(
         {
             "n": report.n,
@@ -174,9 +183,7 @@ def _cmd_simulate(args) -> str:
         workers=args.workers,
     )
     if args.format == "csv":
-        lines = ["L,count"]
-        lines += [f"{length},{freq}" for length, freq in sorted(summary.histogram.items())]
-        return "\n".join(lines) + "\n"
+        return _csv("L,count", sorted(summary.histogram.items()))
     return _json(summary.to_dict())
 
 
@@ -201,24 +208,12 @@ def _cmd_analyze(args) -> str:
     return _json(report.to_dict())
 
 
-_HANDLERS = {
-    "threshold": _cmd_threshold,
-    "bound": _cmd_bound,
-    "pick-n": _cmd_pick_n,
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _HANDLERS[args.command](args)
-    except ZipfOrderError as exc:
-        print(f"{_PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        text = args.handler(args)
+    except (ZipfOrderError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     _emit(text, args.out)

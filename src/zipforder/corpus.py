@@ -10,6 +10,7 @@ rendering is left to external tools, only plot data is emitted.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,7 +280,7 @@ def analyze(
         counts_summary=CountsSummary(
             length=len(counts),
             total=total,
-            top=tuple(list(counts.rows())[:10]),
+            top=tuple(itertools.islice(counts.rows(), 10)),
         ),
         params_used=params,
         n_prime=n_prime,

@@ -121,9 +121,9 @@ def estimate_N_total(T: float, alpha: float, k: float) -> float:
     and that sum is the Hurwitz zeta value at offset k + 1 (plain zeta when
     k = 0).
     """
-    if not (T > 0.0) or math.isinf(T) or math.isnan(T):
+    if not (T > 0.0) or math.isinf(T):
         raise DomainError(f"T must be finite and > 0, got {T}")
-    if not (k >= 0.0) or math.isinf(k) or math.isnan(k):
+    if not (k >= 0.0) or math.isinf(k):
         raise DomainError(f"k must be finite and >= 0, got {k}")
     return T / hurwitz_zeta(alpha, k + 1.0)
 
@@ -132,7 +132,7 @@ def local_scale_estimates(
     counts: RankedCounts, alpha: float, lo: int, hi: int
 ) -> ScaleEstimates:
     """Per-rank estimates N_i = X_i i^alpha over the rank window [lo, hi]."""
-    if not (alpha > 1.0) or math.isinf(alpha) or math.isnan(alpha):
+    if not (alpha > 1.0) or math.isinf(alpha):
         raise DomainError(f"alpha must be finite and > 1, got {alpha}")
     if not 1 <= lo <= hi <= len(counts):
         raise DomainError(

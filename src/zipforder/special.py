@@ -92,7 +92,7 @@ def _hurwitz_em(alpha: float, h: float, head: int) -> tuple[float, bool]:
 
 def hurwitz_zeta(alpha: float, h: float) -> float:
     """Hurwitz zeta: sum over l >= 0 of (l + h)^(-alpha), for alpha > 1, h > 0."""
-    if not (alpha > 1.0) or math.isinf(alpha) or math.isnan(alpha):
+    if not (alpha > 1.0) or math.isinf(alpha):
         raise DomainError(f"hurwitz_zeta requires finite alpha > 1, got {alpha}")
     if not (h > 0.0) or math.isinf(h):
         raise DomainError(f"hurwitz_zeta requires finite h > 0, got {h}")
@@ -119,7 +119,7 @@ def solve_zeta_equals(c: float) -> float:
     exactly one preimage.  A verified bracket is expanded first, then Brent's
     method (bisection refined by secant/inverse-quadratic steps) polishes it.
     """
-    if not (c > 1.0) or math.isinf(c) or math.isnan(c):
+    if not (c > 1.0) or math.isinf(c):
         raise DomainError(f"solve_zeta_equals requires finite c > 1, got {c}")
 
     lo_off = 1.0

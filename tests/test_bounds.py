@@ -84,6 +84,11 @@ class TestPoissonTailBounds:
             math.exp(-2.0), rel=1e-14
         )
 
+    def test_lower_at_zero_is_exactly_exp(self):
+        """At t = 0 the general formula reduces to Pr(Poi(lam) = 0) = exp(-lam), bit for bit."""
+        for lam in np.geomspace(math.exp(-20.0), math.exp(20.0), 2001):
+            assert poisson_lower_tail_bound(float(lam), 0.0) == math.exp(-float(lam))
+
     def test_upper_dominates_exact(self):
         assert poisson_upper_tail_bound(5.0, 9.0) >= poisson_sf(5.0, 9.0)
         assert poisson_upper_tail_bound(10.0, 30.0) >= 1.0 - poisson_cdf(10.0, 29.0)

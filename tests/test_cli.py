@@ -73,6 +73,12 @@ class TestBound:
         lines = out.strip().splitlines()
         assert lines[0] == "i,term"
         assert len(lines) == 3
+        code, out, _ = run_cli(
+            capsys, "bound", "--N", "100", "--alpha", "2", "--n", "1",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == "i,term\n"
 
 
 class TestPickN:

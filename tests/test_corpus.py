@@ -184,6 +184,9 @@ class TestAnalyze:
         assert tuple(r.alpha for r in report.sensitivity.rows) == (1.05, 1.106, 1.15)
         assert len(report.adjacent_se) == len(synthetic_bnc_like) - 1
         assert report.counts_summary.length == len(synthetic_bnc_like)
+        assert report.counts_summary.top == tuple(list(synthetic_bnc_like.rows())[:10])
+        short = analyze(RankedCounts(counts=(9.0, 5.0, 2.0)), alpha=1.5, window=(1, 3))
+        assert short.counts_summary.top == ((1, None, 9.0), (2, None, 5.0), (3, None, 2.0))
 
     def test_deterministic(self, synthetic_bnc_like):
         a = analyze(synthetic_bnc_like, alpha=1.106)
