@@ -212,11 +212,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        _emit(args.handler(args), args.out)
     except (ZipfOrderError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
     return 0
 
 

@@ -67,6 +67,8 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # array operation when M is small, while the block and its temporaries stay
 # well under a megabyte
 _BLOCK_ELEMENTS = 2**15
+# largest certified horizon: one replicate then holds 2**20 counts
+_MAX_HORIZON = 2**20
 
 
 @dataclass(frozen=True)
@@ -118,70 +120,57 @@ def _means(params: EnsembleParams, m: int) -> np.ndarray:
     return params.N * (ranks + params.k) ** -params.alpha
 
 
-def _tail_mass_below_safety(
-    params: EnsembleParams, m: int, tau: float, safety: float
-) -> bool:
-    """Decide whether sum over i > m of Pr(X_i > tau) is certified <= safety.
-
-    Uses the exponential upper tail bound per rank.  Once enough leading
-    terms are accumulated, the rest is majorised in closed form: the factor
-    exp(-lam) lam^tau is increasing in lam below tau, so the remaining sum
-    is at most C N^tau / Gamma(tau+1) times the power-sum tail of
-    (i+k)^(-alpha tau), handled by an integral bound.
-    """
-    inv = 1.0 / (params.alpha * tau - 1.0)  # requires alpha * tau > 1
-    lg_tau = math.lgamma(tau + 1.0)
-    acc = 0.0
-    i = m
-    for _ in range(200_000):
-        i += 1
-        lam = params.mean_of(i)
-        # closed-form majorant for everything from rank i on
-        rest_log = (
-            -math.log(1.0 - lam / (tau + 1.0))
-            + tau * math.log(params.N)
-            - lg_tau
-            + math.log1p((i + params.k) * inv)
-            + (-params.alpha * tau) * math.log(i + params.k)
-        )
-        rest = math.exp(rest_log) if rest_log < 700.0 else math.inf
-        if acc + rest <= safety:
-            return True
-        term = poisson_upper_tail_bound(lam, tau)
-        acc += term
-        if acc > safety:
-            return False
-    raise ConfigurationError(
-        f"tail mass at horizon {m} did not resolve against safety {safety}"
-    )
-
-
 def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int:
     """Smallest horizon M >= 4 n_focus whose beyond-horizon entities are negligible.
 
     Negligible means: the probability that any entity of rank > M reaches the
     low reference level tau = lambda at rank 2 n_focus is certified <= safety.
     Ranks beyond M then perturb prefix outcomes with probability <= safety
-    and the infinite ensemble can be simulated on 1..M.
+    and the infinite ensemble can be simulated on 1..M.  The candidates are
+    4 n_focus, then steps of max(1, M // 8); past the floor, a horizon above
+    2**20 raises ``ConfigurationError``.
+
+    Counts are integers, so X >= tau exactly when X >= t = ceil(tau) >= 1,
+    and the certificate bounds the sum over i > M of Pr(X_i >= t).  The term
+    of rank M+1 is ``poisson_upper_tail_bound``.  For i >= M+2 that bound is
+    at most e^-lam lam^t / (t! (1 - lam_{M+2}/(t+1))) with lam = lam_i, and
+    below t the factor e^-lam lam^t increases with lam, so its sum over
+    i >= M+2 is at most the integral over x >= M+1 of e^-lam(x) lam(x)^t,
+    where lam(x) = N (x+k)^-alpha.  Substituting lam = lam(x), which holds
+    for any k >= 0, turns the integral into (N^(1/alpha) / alpha)
+    gamma(s, lam_{M+1}) with s = t - 1/alpha > 0, and the lower incomplete
+    gamma obeys gamma(s, x) <= x^s e^-x / (s - x) for x < s.  A candidate
+    with lam_{M+1} >= s has no finite bound and is passed over, and so is
+    one whose lam_{M+1} underflows to 0.
     """
     if n_focus < 1:
         raise DomainError(f"n_focus must be >= 1, got {n_focus}")
     if not (0.0 < safety < 1.0):
         raise DomainError(f"safety must lie in (0, 1), got {safety}")
-    tau = params.mean_of(2 * n_focus)
-    if params.alpha * tau <= 1.0:
-        raise ConfigurationError(
-            f"reference level tau={tau} too low to certify any finite horizon "
-            f"(need alpha * tau > 1)"
-        )
-    m = 4 * n_focus
-    for _ in range(10_000):
-        if _tail_mass_below_safety(params, m, tau, safety):
-            return m
-        m += max(1, m // 8)
-    raise ConfigurationError(
-        f"no horizon below {m} certifies safety {safety} for {params}"
+    t = math.ceil(params.mean_of(2 * n_focus))
+    s = t - 1.0 / params.alpha
+    log_scale = (
+        math.log(params.N) / params.alpha - math.log(params.alpha) - math.lgamma(t + 1.0)
     )
+    m = 4 * n_focus
+    while True:
+        lam = params.mean_of(m + 1)
+        if 0.0 < lam < s:
+            log_rest = (
+                log_scale
+                + s * math.log(lam)
+                - lam
+                - math.log(s - lam)
+                - math.log1p(-params.mean_of(m + 2) / (t + 1.0))
+            )
+            if poisson_upper_tail_bound(lam, t) + math.exp(log_rest) <= safety:
+                return m
+        m += max(1, m // 8)
+        if m > _MAX_HORIZON:
+            raise ConfigurationError(
+                f"no horizon up to {_MAX_HORIZON} certifies safety {safety} "
+                f"for {params} at n_focus={n_focus}"
+            )
 
 
 def _classify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,6 +69,29 @@ def jumper_tail_sum(params, n: int, tau: float, imax: int = 300_000) -> float:
     return total
 
 
+def horizon_tail_sum(params, m: int, t: int, k_max: int = 2**21) -> float:
+    """Upper bound on the sum over ranks i > m of Pr(X_i >= t), integer t >= 1.
+
+    Ranks m < i <= K contribute their exact terms, ``poisson_sf_extreme``
+    evaluated on a block of ranks at a time.  The rest is bounded by
+    Pr(X >= t) <= lam^t / t!, and the sum over i > K of (i+k)^(-alpha t) by
+    its integral from K, giving N^t (K+k)^(1 - alpha t) / (t! (alpha t - 1)).
+    K doubles from 2m until that remainder is at most 1% of the exact part,
+    or reaches ``k_max``.
+    """
+    a_t = params.alpha * t
+    log_scale = t * math.log(params.N) - math.lgamma(t + 1.0) - math.log(a_t - 1.0)
+    exact, lo, cut = 0.0, m, 2 * m
+    while True:
+        ranks = np.arange(lo + 1, cut + 1, dtype=np.float64)
+        lam = params.N * (ranks + params.k) ** -params.alpha
+        exact += math.fsum(stats.poisson.sf(t - 1, lam))
+        rest = math.exp(log_scale + (1.0 - a_t) * math.log(cut + params.k))
+        if rest <= 0.01 * exact or cut >= k_max:
+            return exact + rest
+        lo, cut = cut, 2 * cut
+
+
 def brute_force_outcome(x) -> tuple[int, str, int | None, int | None]:
     """Literal all-prefixes evaluation of the correct-prefix/first-error rule.
 

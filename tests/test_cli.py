@@ -149,6 +149,25 @@ class TestSimulate:
         assert lines[0] == "L,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 20
 
+    def test_sparse_point_certifies(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--N", "3", "--alpha", "1.2", "--n-focus", "1",
+            "--reps", "20", "--seed", "1",
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["truncation_m"] == 45124
+
+    def test_horizon_beyond_limit_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--N", "2.05", "--alpha", "1.01", "--n-focus", "1",
+            "--reps", "20", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("zipforder: error:")
+        assert len(err.splitlines()) == 1
+
     def test_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--N", "5e4", "--alpha", "1.3", "--reps", "5"])
@@ -265,6 +284,16 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["n_prime_floor"] == 72
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "threshold", "--N", "1e7", "--alpha", "1.106",
+            "--out", str(tmp_path / "missing" / "x.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("zipforder: error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestHelp:

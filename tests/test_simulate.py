@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import brute_force_outcome, poisson_sf_extreme
+from oracles import brute_force_outcome, horizon_tail_sum, poisson_sf_extreme
 from zipforder import (
     ConfigurationError,
     DomainError,
@@ -93,9 +93,69 @@ class TestTruncationIndex:
         assert truncation_index(BNC_PARAMS, 10, 1e-6) >= 40
 
     def test_unreachable_configuration(self):
-        # reference level below 1/alpha: no finite horizon certificate exists
+        # the tail at level 1 decays like M^-0.5: a finite certificate exists
+        # but lies far beyond the 2**20 limit
         with pytest.raises(ConfigurationError):
             truncation_index(EnsembleParams(2.0, 1.5), 50, 1e-6)
+
+    @pytest.mark.parametrize(
+        "N, alpha, k, n_focus, expected",
+        [
+            (1e7, 1.106, 0.0, 72, 288),
+            (1e7, 1.106, 0.0, 73, 292),  # BNC golden cases and benchmark point
+            (1e7, 1.106, 0.0, 10, 40),
+            (1e7, 1.106, 0.0, 5, 20),
+            (5e4, 1.3, 2.5, 8, 32),
+            (5e4, 1.3, 0.0, 10, 40),
+            (1e11, 1.106, 0.0, 1210, 4840),  # deep benchmark point
+            (100.0, 2.0, 0.0, 2, 15),  # tau = 6.25, certified at the level 7
+            (3.0, 1.2, 0.0, 1, 45_124),  # sparse point: tau = 1.31, level 2
+        ],
+    )
+    def test_pinned_horizons(self, N, alpha, k, n_focus, expected):
+        assert truncation_index(EnsembleParams(N, alpha, k), n_focus, 1e-6) == expected
+
+    @pytest.mark.parametrize(
+        "N, alpha",
+        [
+            (2.05, 1.01),  # the tail at level 2 decays like M^-1.02: above 1e-6 at 2**20
+            (1e7, 500.0),  # every mean past the floor M = 4 underflows to 0.0
+        ],
+    )
+    def test_limit_named_in_error(self, N, alpha):
+        with pytest.raises(ConfigurationError, match="1048576"):
+            truncation_index(EnsembleParams(N, alpha), 1, 1e-6)
+
+    @pytest.mark.parametrize(
+        "N, alpha, k, n_focus, safety",
+        [
+            (N, alpha, k, n_focus, safety)
+            for N, alpha, k, n_focus in [
+                (5.0, 2.0, 0.0, 1),
+                (10.0, 1.5, 2.5, 1),
+                (20.0, 3.0, 0.0, 1),
+                (50.0, 1.1, 2.5, 1),
+                (100.0, 2.0, 0.0, 2),
+                (1e3, 1.5, 2.5, 5),
+                (1e5, 1.05, 100.0, 1),
+                (1e7, 1.106, 0.0, 72),
+                (1e9, 1.2, 100.0, 50),
+            ]
+            for safety in (1e-2, 1e-6, 1e-9)
+        ]
+        + [
+            (3.0, 1.2, 0.0, 1, 1e-2),
+            (3.0, 1.2, 0.0, 1, 1e-6),
+            (1e4, 2.5, 100.0, 3, 1e-2),
+            (1e11, 1.106, 0.0, 1210, 1e-6),
+        ],
+    )
+    def test_certificate_oracle(self, N, alpha, k, n_focus, safety):
+        """An independent bound on the mass beyond M at the integer level stays <= safety."""
+        params = EnsembleParams(N, alpha, k)
+        m = truncation_index(params, n_focus, safety)
+        level = math.ceil(params.mean_of(2 * n_focus))
+        assert horizon_tail_sum(params, m, level) <= safety
 
     def test_domains(self):
         with pytest.raises(DomainError):
