@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import ln_gamma, normal_cdf, riemann_zeta
+from .special import riemann_zeta
 
 __all__ = [
     "EnsembleParams",
@@ -110,9 +110,18 @@ def skellam_order_bound(lam: float, nu: float) -> float:
     return math.exp(-((math.sqrt(lam) - math.sqrt(nu)) ** 2))
 
 
+def _log_factorial(t: float) -> float:
+    # log t! read as log Gamma(t+1) for real t >= 0; it passes the float
+    # range near t = 2.5e305, where math.lgamma raises OverflowError
+    try:
+        return math.lgamma(t + 1.0)
+    except OverflowError:
+        raise DomainError(f"log({float(t)}!) exceeds the float range") from None
+
+
 def _poisson_point_mass(lam: float, t: float) -> float:
-    # e^-lam lam^t / t! with t! read as Gamma(t+1) for real t
-    return math.exp(-lam + t * math.log(lam) - ln_gamma(t + 1.0))
+    # e^-lam lam^t / t! for real t
+    return math.exp(-lam + t * math.log(lam) - _log_factorial(t))
 
 
 def poisson_upper_tail_bound(lam: float, t: float) -> float:
@@ -201,7 +210,10 @@ def threshold_A(alpha: float) -> float:
     """The threshold constant A(alpha) = alpha^2 (alpha + 2) / 4 (> 3/4 for alpha > 1)."""
     if not (alpha > 1.0) or math.isinf(alpha):
         raise DomainError(f"alpha must be finite and > 1, got {alpha}")
-    return alpha * alpha * (alpha + 2.0) / 4.0
+    a_const = alpha * alpha * (alpha + 2.0) / 4.0
+    if math.isinf(a_const):
+        raise DomainError(f"A(alpha) exceeds the float range at alpha={alpha}")
+    return a_const
 
 
 def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
@@ -211,6 +223,8 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
         raise DomainError(f"threshold needs finite N > 1, got {N}")
     log_n = math.log(N)
     n_prime = (a_const * N / log_n) ** (1.0 / (alpha + 2.0))
+    if math.isinf(n_prime):
+        raise DomainError(f"A N / ln N exceeds the float range at N={N}, alpha={alpha}")
     return ThresholdReport(
         A_const=a_const,
         n_prime=n_prime,
@@ -288,7 +302,8 @@ def swap_lower_bound(i: int, params: EnsembleParams) -> float:
     lam_i = params.mean_of(i)
     lam_next = params.mean_of(i + 1)
     sd = math.sqrt(lam_next)
-    phi = normal_cdf((lam_next - lam_i) / sd)
+    z = (lam_next - lam_i) / sd
+    phi = 0.5 * math.erfc(-z / math.sqrt(2.0))  # Phi(z), through erfc for tail accuracy
     return teicher_floor() * max(0.0, phi - 0.8 / sd)
 
 

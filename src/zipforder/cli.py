@@ -2,7 +2,8 @@
 
 Subcommands: threshold, bound, pick-n, simulate, analyze.  Reports are JSON
 by default; the tabular subcommands also offer CSV.  Exit codes: 0 success,
-1 domain/convergence/configuration error, 2 usage error.
+1 domain/convergence/configuration error (values beyond the float range
+included) or unreadable input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from .bounds import (
     prefix_error_bound,
     threshold_n_prime,
 )
-from .corpus import analyze, load_rank_counts, write_se_csv, write_zipf_csv
+from .corpus import (
+    DEFAULT_SLOPES,
+    DEFAULT_WINDOW,
+    analyze,
+    load_rank_counts,
+    write_se_csv,
+    write_zipf_csv,
+)
 from .errors import ZipfOrderError
 from .simulate import run_experiment
 
@@ -87,13 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=0.0, help="rank shift (default 0)")
     p.add_argument("--total", type=float, default=None,
                    help="override the corpus total for truncated tables")
-    p.add_argument("--window", type=int, nargs=2, default=(10, 100), metavar=("LO", "HI"),
+    p.add_argument("--window", type=int, nargs=2, default=DEFAULT_WINDOW,
+                   metavar=("LO", "HI"),
                    help="rank window for local scale estimates (default 10 100)")
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="error budget for pick-n (default 0.01)")
     p.add_argument("--alphas", type=float, nargs="+", default=None,
                    help="sensitivity grid (default: alpha +/- 0.05)")
-    p.add_argument("--slopes", type=float, nargs=2, default=(-1.0, -1.1),
+    p.add_argument("--slopes", type=float, nargs=2, default=DEFAULT_SLOPES,
                    metavar=("S1", "S2"), help="reference line slopes (default -1 -1.1)")
     p.add_argument("--zipf-csv", default=None,
                    help="also write log-log plot points to this CSV path")

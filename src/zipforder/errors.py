@@ -1,8 +1,9 @@
 """Semantic exception hierarchy.
 
-Public functions never raise bare ValueError/RuntimeError for contract
-violations; they raise one of the types below so callers (and the CLI)
-can distinguish usage errors from numerical failures.
+Public functions never raise bare ValueError/RuntimeError/OverflowError for
+contract violations or results beyond the float range; they raise one of
+the types below so callers (and the CLI) can distinguish usage errors from
+numerical failures.
 """
 
 

@@ -143,7 +143,15 @@ def local_scale_estimates(
         x = counts.count(i)
         if x <= 0.0:
             raise DomainError(f"rank {i} has count 0; no scale estimate there")
-        rows.append((i, x * i**alpha))
+        try:
+            scale = x * i**alpha
+        except OverflowError:
+            scale = math.inf
+        if math.isinf(scale):
+            raise DomainError(
+                f"N_i = X_i i^alpha exceeds the float range at rank {i}, alpha={alpha}"
+            )
+        rows.append((i, scale))
     values = [v for _, v in rows]
     return ScaleEstimates(
         rows=tuple(rows),

@@ -39,6 +39,7 @@ worker count, the block size or how chunks are cut.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,7 +48,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import EnsembleParams, poisson_upper_tail_bound, threshold_n_prime
+from .bounds import (
+    EnsembleParams,
+    _log_factorial,
+    poisson_upper_tail_bound,
+    threshold_n_prime,
+)
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -69,6 +75,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ELEMENTS = 2**15
 # largest certified horizon: one replicate then holds 2**20 counts
 _MAX_HORIZON = 2**20
+# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max),
+# about 9.2234e18, so that a draw ten standard deviations above its mean
+# still fits the int64 counts; lambda_1 is the largest mean of the ensemble
+_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,7 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
     t = math.ceil(params.mean_of(2 * n_focus))
     s = t - 1.0 / params.alpha
     log_scale = (
-        math.log(params.N) / params.alpha - math.log(params.alpha) - math.lgamma(t + 1.0)
+        math.log(params.N) / params.alpha - math.log(params.alpha) - _log_factorial(t)
     )
     m = 4 * n_focus
     while True:
@@ -275,6 +285,11 @@ def run_experiment(
         raise DomainError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    lam_1 = params.mean_of(1)
+    if lam_1 > _MAX_MEAN:
+        raise DomainError(
+            f"lambda_1 = {lam_1} exceeds the largest Poisson mean numpy can draw, {_MAX_MEAN}"
+        )
     if n_focus is None:
         n_focus = math.ceil(threshold_n_prime(params.N, params.alpha).n_prime)
     m = truncation_index(params, n_focus, 1e-6)
@@ -286,7 +301,13 @@ def run_experiment(
         parts = [_simulate_chunk(params, seed, 0, reps, m)]
     else:
         cuts = np.linspace(0, reps, workers + 1).astype(int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork where the platform has it: a forkserver or spawn pool (the
+        # Linux default from Python 3.14, and elsewhere) takes about a second
+        # to start and re-imports the caller's script, which breaks the pool
+        # when that script has no __main__ guard
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             parts = list(pool.map(
                 _simulate_chunk, repeat(params), repeat(seed), cuts[:-1], cuts[1:], repeat(m)
             ))

@@ -1,10 +1,11 @@
-"""Scalar special functions: log-gamma, normal CDF, Riemann and Hurwitz zeta.
+"""Zeta functions: Hurwitz and Riemann zeta and the inverse of the latter.
 
-Zeta values are computed with Euler-Maclaurin summation under explicit
+Zeta values are computed by one Euler-Maclaurin pass under explicit
 remainder control, which keeps full double accuracy even for exponents
-barely above 1 (the regime power-law count data lives in).  Log-gamma and
-the normal CDF delegate to the C library via :mod:`math`, which already
-meets the accuracy contract here; only domain validation is added.
+barely above 1 (the regime power-law count data lives in).  The pass sums
+the first 16 terms directly; a value whose head sum exceeds the float range
+raises ``DomainError``.  Log-gamma and the normal CDF, which the bounds also
+need, come straight from :mod:`math`.
 """
 
 from __future__ import annotations
@@ -16,38 +17,20 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "ln_gamma",
-    "normal_cdf",
     "riemann_zeta",
     "hurwitz_zeta",
     "solve_zeta_equals",
 ]
 
 # relative accuracy of every zeta value, and the iteration budget of the
-# bracket search and root polish in solve_zeta_equals
+# root polish in solve_zeta_equals
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+# terms summed directly before the Euler-Maclaurin tail takes over
+_HEAD = 16
 
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
-    return math.lgamma(x)
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(t: float) -> float:
-    """Standard normal CDF Phi(t), computed through erfc for tail accuracy."""
-    if math.isnan(t):
-        raise DomainError("normal_cdf is undefined for NaN")
-    return 0.5 * math.erfc(-t / _SQRT2)
-
-
-# Bernoulli numbers B_2, B_4, ..., B_20; ten correction terms are far more
-# than the adaptive loop ever needs once the head sum is long enough.
+# Bernoulli numbers B_2, B_4, ..., B_20; after a head of 16 terms the
+# correction series reaches _REL_TOL well before they run out.
 _B2K = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -62,15 +45,25 @@ _B2K = (
 )
 
 
-def _hurwitz_em(alpha: float, h: float, head: int) -> tuple[float, bool]:
-    """One Euler-Maclaurin evaluation of zeta(alpha, h) with ``head`` terms.
+def hurwitz_zeta(alpha: float, h: float) -> float:
+    """Hurwitz zeta: sum over l >= 0 of (l + h)^(-alpha), for alpha > 1, h > 0.
 
-    Returns (value, converged).  For real alpha the correction series
-    envelopes the true value, so the magnitude of the next term bounds the
-    remainder; convergence means that bound dropped below _REL_TOL.
+    The first _HEAD terms are summed exactly, the rest by the integral, the
+    half term and Bernoulli corrections at x = h + _HEAD.  For real alpha
+    the correction series envelopes the true value, so the magnitude of the
+    next term bounds the remainder; the value is returned once that bound
+    drops below _REL_TOL, and ``ConvergenceError`` is raised if the series
+    turns or runs out first.
     """
-    acc = math.fsum((h + k) ** -alpha for k in range(head))
-    x = h + head
+    if not (alpha > 1.0) or math.isinf(alpha):
+        raise DomainError(f"hurwitz_zeta requires finite alpha > 1, got {alpha}")
+    if not (h > 0.0) or math.isinf(h):
+        raise DomainError(f"hurwitz_zeta requires finite h > 0, got {h}")
+    try:
+        acc = math.fsum((h + k) ** -alpha for k in range(_HEAD))
+    except OverflowError:
+        raise DomainError(f"hurwitz_zeta({alpha}, {h}) exceeds the float range") from None
+    x = h + _HEAD
     acc += x ** (1.0 - alpha) / (alpha - 1.0)
     acc += 0.5 * x**-alpha
 
@@ -80,31 +73,14 @@ def _hurwitz_em(alpha: float, h: float, head: int) -> tuple[float, bool]:
     for j, b2k in enumerate(_B2K, start=1):
         term = b2k / math.factorial(2 * j) * rising * xpow
         if abs(term) >= prev:
-            return acc, False  # series turned before reaching tolerance
+            break  # series turned before reaching tolerance
         acc += term
         if abs(term) <= _REL_TOL * abs(acc):
-            return acc, True
+            return acc
         prev = abs(term)
         rising *= (alpha + 2 * j - 1) * (alpha + 2 * j)
         xpow /= x * x
-    return acc, False
-
-
-def hurwitz_zeta(alpha: float, h: float) -> float:
-    """Hurwitz zeta: sum over l >= 0 of (l + h)^(-alpha), for alpha > 1, h > 0."""
-    if not (alpha > 1.0) or math.isinf(alpha):
-        raise DomainError(f"hurwitz_zeta requires finite alpha > 1, got {alpha}")
-    if not (h > 0.0) or math.isinf(h):
-        raise DomainError(f"hurwitz_zeta requires finite h > 0, got {h}")
-    head = 16
-    while head <= 4_194_304:
-        value, ok = _hurwitz_em(alpha, h, head)
-        if ok:
-            return value
-        head *= 2
-    raise ConvergenceError(
-        f"hurwitz_zeta({alpha}, {h}) did not reach rel_tol={_REL_TOL}"
-    )
+    raise ConvergenceError(f"hurwitz_zeta({alpha}, {h}) did not reach rel_tol={_REL_TOL}")
 
 
 def riemann_zeta(alpha: float) -> float:
@@ -118,24 +94,21 @@ def solve_zeta_equals(c: float) -> float:
     zeta is strictly decreasing from +inf to 1 on (1, inf), so any c > 1 has
     exactly one preimage.  A verified bracket is expanded first, then Brent's
     method (bisection refined by secant/inverse-quadratic steps) polishes it.
+    Above zeta(1 + 2^-52), about 4.5e15, no float alpha brackets c from
+    below and ``ConvergenceError`` is raised.
     """
     if not (c > 1.0) or math.isinf(c):
         raise DomainError(f"solve_zeta_equals requires finite c > 1, got {c}")
 
     lo_off = 1.0
-    for _ in range(_MAX_ITER):
-        if riemann_zeta(1.0 + lo_off) >= c:
-            break
+    while riemann_zeta(1.0 + lo_off) < c:
         lo_off /= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket zeta = {c} from below")
+        if 1.0 + lo_off == 1.0:
+            raise ConvergenceError(f"could not bracket zeta = {c} from below")
+    # zeta(1 + 2^j) rounds to 1.0 by j = 6, so this doubling ends
     hi_off = max(lo_off, 1.0)
-    for _ in range(_MAX_ITER):
-        if riemann_zeta(1.0 + hi_off) <= c:
-            break
+    while riemann_zeta(1.0 + hi_off) > c:
         hi_off *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket zeta = {c} from above")
 
     root, res = brentq(
         lambda a: riemann_zeta(a) - c,

@@ -1,8 +1,10 @@
 """Analytic bound values, hand-computed anchors, and dominance over exact oracles."""
 
 import math
+import statistics
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from zipforder import (
     EnsembleParams,
     interloper_bound,
     jumper_bound,
-    normal_cdf,
     pick_n,
     poisson_lower_tail_bound,
     poisson_upper_tail_bound,
@@ -42,6 +43,10 @@ class TestEnsembleParams:
     def test_invariants(self, N, alpha, k):
         with pytest.raises(DomainError):
             EnsembleParams(N, alpha, k)
+
+    def test_rank_domain(self):
+        with pytest.raises(DomainError, match="rank"):
+            EnsembleParams(100.0, 2.0).mean_of(0)
 
 
 class TestSkellamOrderBound:
@@ -115,6 +120,13 @@ class TestPoissonTailBounds:
         with pytest.raises(DomainError):
             poisson_lower_tail_bound(5.0, -1.0)
 
+    def test_factorial_beyond_float_range(self):
+        """log t! passes the float range near t = 2.5e305: a DomainError, not OverflowError."""
+        with pytest.raises(DomainError, match="float range"):
+            poisson_upper_tail_bound(1e306, 1e307)
+        with pytest.raises(DomainError, match="float range"):
+            poisson_lower_tail_bound(1e308, 5e307)
+
 
 class TestPrefixErrorBound:
     def test_single_rank_is_empty_sum(self):
@@ -122,6 +134,10 @@ class TestPrefixErrorBound:
         assert report.per_pair_terms == ()
         assert report.bonferroni_sum == 0.0
         assert report.clamped_probability == 0.0
+
+    def test_prefix_domain(self):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            prefix_error_bound(0, BNC_PARAMS)
 
     def test_two_ranks_hand_value(self):
         report = prefix_error_bound(2, EnsembleParams(100.0, 2.0))
@@ -234,6 +250,10 @@ class TestPickN:
         with pytest.raises(DomainError):
             pick_n(BNC_PARAMS, 1.0, 10)
 
+    def test_cap_domain(self):
+        with pytest.raises(DomainError, match="n_max"):
+            pick_n(BNC_PARAMS, 0.01, 0)
+
 
 class TestThresholds:
     def test_A_near_one(self):
@@ -271,6 +291,17 @@ class TestThresholds:
             threshold_n_prime(1.0, 1.106)
         with pytest.raises(DomainError):
             threshold_n_prime(0.5, 1.106)
+
+    def test_beyond_float_range(self):
+        """A N overflowing, or A(alpha) itself, is a DomainError, never inf or OverflowError."""
+        with pytest.raises(DomainError, match="float range"):
+            threshold_A(1e308)
+        with pytest.raises(DomainError, match="float range"):
+            threshold_n_prime(1e7, 1e308)
+        with pytest.raises(DomainError, match="float range"):
+            threshold_n_prime(1.7e308, 1.5)
+        assert threshold_A(5e102) < math.inf
+        assert threshold_n_prime(1e307, 1.5).n_prime < math.inf
 
     def test_n_hat_consistency_identity(self):
         from zipforder import riemann_zeta
@@ -330,6 +361,11 @@ class TestJumperBound:
             jumper_bound(50, 0.3, EnsembleParams(2.0, 2.0))  # below 1/alpha
         with pytest.raises(DomainError):
             jumper_bound(5, 20.0, EnsembleParams(100.0, 2.0, 1.0))  # k != 0
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            jumper_bound(0, 20.0, params)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="tau must be finite"):
+                jumper_bound(5, tau, params)
 
 
 class TestInterloperBound:
@@ -379,9 +415,30 @@ class TestSwapLowerBound:
     def test_clamps_to_zero_for_small_means(self):
         assert swap_lower_bound(1, EnsembleParams(2.0, 2.0)) == 0.0
 
+    def test_domain(self):
+        with pytest.raises(DomainError, match="i must be >= 1"):
+            swap_lower_bound(0, BNC_PARAMS)
+        with pytest.raises(DomainError):
+            swap_lower_bound(3, EnsembleParams(1e7, 1.106, 1.0))  # k != 0
+
+    def test_matches_mpmath_formula(self):
+        """exp(-1) max(0, Phi(z) - 0.8/sd) with sd = sqrt(lam_{i+1}) and
+        z = (lam_{i+1} - lam_i)/sd, evaluated at 40 digits from the same float
+        means, for z from -0.03 down to -5 and one clamped case (z = -34)."""
+        for i, N, alpha in [(1, 1e3, 1.5), (500, 1e7, 1.106), (2000, 1e7, 1.106),
+                            (2_000_000, 1e20, 1.1), (1_800_000_000, 1e30, 1.1)]:
+            params = EnsembleParams(N, alpha)
+            with mp.workdps(40):
+                lam_i = mp.mpf(params.mean_of(i))
+                lam_next = mp.mpf(params.mean_of(i + 1))
+                sd = mp.sqrt(lam_next)
+                phi = mp.ncdf((lam_next - lam_i) / sd)
+                ref = float(mp.exp(-1) * max(mp.mpf(0), phi - mp.mpf(0.8) / sd))
+            assert swap_lower_bound(i, params) == pytest.approx(ref, rel=1e-14, abs=0.0), i
+
     def test_asymptotic_constant(self):
         """Phi(-alpha (2C)^(-alpha/2)) / 3 at alpha=1.106, C=1."""
-        value = normal_cdf(-1.106 * 2.0 ** (-1.106 / 2.0)) / 3.0
+        value = statistics.NormalDist().cdf(-1.106 * 2.0 ** (-1.106 / 2.0)) / 3.0
         assert value == pytest.approx(0.0751, abs=5e-4)
         # frozen 30-digit reference of the same expression
         assert value == pytest.approx(0.075156445179519, abs=1e-12)

@@ -2,10 +2,13 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from zipforder.cli import main
+
+BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +275,38 @@ class TestQuietSuccess:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["cap_reached"] is True
+
+    def test_simulate_two_workers(self, capfd):
+        """The forked pool's processes write nothing to the stderr descriptor either."""
+        code, out, err = run_cli(
+            capfd, "simulate", "--N", "5e4", "--alpha", "1.3", "--reps", "40",
+            "--seed", "7", "--n-focus", "10", "--workers", "2",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reps"] == 40
+
+
+class TestFloatEdge:
+    """Values beyond the float range exit 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("threshold", "--N", "1.7e308", "--alpha", "1.5"),
+            ("threshold", "--N", "1e7", "--alpha", "1e308"),
+            ("analyze", "--input", BNC_TOP10, "--alpha", "400", "--total", "1e8"),
+            ("simulate", "--N", "1e19", "--alpha", "1.5", "--reps", "2", "--seed", "1"),
+            ("simulate", "--N", "1.7e308", "--alpha", "1.5", "--n-focus", "1",
+             "--reps", "1", "--seed", "1"),
+        ],
+        ids=["threshold-N", "threshold-alpha", "analyze-alpha", "simulate-N", "simulate-max-N"],
+    )
+    def test_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("zipforder: error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestOutputFile:

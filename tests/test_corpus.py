@@ -60,6 +60,14 @@ class TestLoadRankCounts:
         with pytest.raises(ParseError, match="line 3"):
             load_rank_counts(io.StringIO("a,9\nb,3\nc,x\n"), fmt="csv")
 
+    def test_column_count_checked(self):
+        with pytest.raises(ParseError, match="line 2: expected 2 or 3 columns, got 4"):
+            load_rank_counts(io.StringIO("a,9\n1,b,3,x\n"), fmt="csv")
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParseError, match="line 2: count must be >= 0"):
+            load_rank_counts(io.StringIO("a\t9\nb\t-3\n"))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no data"):
             load_rank_counts(io.StringIO("# nothing here\n"), fmt="csv")
@@ -140,6 +148,10 @@ class TestZipfPlotData:
         plot = zipf_plot_data(table)
         assert len(plot.points) == 1
         assert plot.skipped_ranks == (2, 3)
+
+    def test_zero_top_count_rejected(self):
+        with pytest.raises(DomainError, match="rank 1 has count 0"):
+            zipf_plot_data(RankedCounts(counts=(0.0, 0.0)))
 
     def test_loglog_slope_near_power_law(self, synthetic_bnc_like):
         """Least-squares slope over ranks 10..100 sits in [-1.2, -1.0]."""

@@ -1,5 +1,7 @@
 """Scale estimation from totals and from per-rank counts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,20 @@ class TestRankedCounts:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             RankedCounts(counts=())
+
+    def test_label_length_checked(self):
+        with pytest.raises(DomainError, match="equal length"):
+            RankedCounts(counts=(5.0, 3.0), labels=("a",))
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan])
+    def test_nonfinite_total_rejected(self, total):
+        with pytest.raises(DomainError, match="total must be finite"):
+            RankedCounts(counts=(5.0, 3.0), total=total)
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_count_rank_checked(self, rank):
+        with pytest.raises(DomainError, match="outside table"):
+            RankedCounts(counts=(5.0, 3.0)).count(rank)
 
 
 class TestEstimateNTotal:
@@ -98,6 +114,16 @@ class TestLocalScaleEstimates:
         t = RankedCounts(counts=(5.0, 1.0, 0.0))
         with pytest.raises(DomainError, match="count 0"):
             local_scale_estimates(t, 1.5, 1, 3)
+
+    def test_beyond_float_range(self):
+        """6^400 and 1e300 * 2^30 overflow: a DomainError naming the rank, not
+        OverflowError or inf."""
+        t = RankedCounts(counts=(5.0, 3.0, 2.0) + (1.0,) * 7)
+        assert local_scale_estimates(t, 300.0, 1, 2).maximum == 3.0 * 2.0**300
+        with pytest.raises(DomainError, match="rank 6,"):
+            local_scale_estimates(t, 400.0, 1, 10)
+        with pytest.raises(DomainError, match="rank 2"):
+            local_scale_estimates(RankedCounts(counts=(1e300, 1e300)), 30.0, 1, 2)
 
     def test_window_validation(self):
         t = RankedCounts(counts=(5.0, 3.0))

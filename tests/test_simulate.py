@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from zipforder import (
     run_experiment,
     truncation_index,
 )
-from zipforder.simulate import _ERROR_KINDS, _classify, _means, _simulate_chunk
+from zipforder.simulate import _ERROR_KINDS, _MAX_MEAN, _classify, _means, _simulate_chunk
 
 BNC_PARAMS = EnsembleParams(1e7, 1.106, 0.0)
 
@@ -163,6 +164,11 @@ class TestTruncationIndex:
         with pytest.raises(DomainError):
             truncation_index(BNC_PARAMS, 10, 0.0)
 
+    def test_level_beyond_float_factorial(self):
+        """ceil(tau)! passes the float range near tau = 2.5e305: DomainError, not OverflowError."""
+        with pytest.raises(DomainError, match="float range"):
+            truncation_index(EnsembleParams(1.7e308, 1.5), 1, 1e-6)
+
 
 class TestSampleEnsemble:
     def test_rank_one_mean(self):
@@ -300,10 +306,12 @@ class TestRunExperiment:
         """A pool gets at most min(workers, reps, cores) processes, and a
         single chunk runs in process; none is started here."""
         pools = []
+        contexts = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 pools.append(max_workers)
+                contexts.append(mp_context)
 
             def __enter__(self):
                 return self
@@ -322,6 +330,10 @@ class TestRunExperiment:
             many = run_experiment(params, reps=reps, seed=99, n_focus=10, workers=64)
             assert pools == want
             assert many == run_experiment(params, reps=reps, seed=99, n_focus=10)
+        # the pool forks wherever the platform can, whatever the default
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        want_method = "fork" if fork else multiprocessing.get_start_method()
+        assert [c.get_start_method() for c in contexts] == [want_method] * 2
 
     def test_seed_changes_outcome(self):
         params = EnsembleParams(5e4, 1.3)
@@ -369,6 +381,22 @@ class TestRunExperiment:
             want_kinds[outcome.first_error] += 1
         assert lengths.tolist() == want_lengths.tolist()
         assert dict(zip(_ERROR_KINDS, kinds.tolist())) == want_kinds
+
+    def test_largest_mean_numpy_draws(self):
+        """_MAX_MEAN is numpy's own limit: it draws there and refuses the next float."""
+        stream = replicate_stream(1, 0)
+        assert stream.poisson(_MAX_MEAN) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            stream.poisson(math.nextafter(_MAX_MEAN, math.inf))
+
+    def test_mean_beyond_numpy_limit(self):
+        """lambda_1 above about 9.22e18 is a DomainError before any horizon search;
+        N = 1e18 still runs."""
+        for N in (1e19, 1.7e308):
+            with pytest.raises(DomainError, match="largest Poisson mean"):
+                run_experiment(EnsembleParams(N, 1.5), reps=2, seed=1, n_focus=1)
+        summary = run_experiment(EnsembleParams(1e18, 1.5), reps=2, seed=1)
+        assert sum(summary.histogram.values()) == 2
 
     def test_domain(self):
         with pytest.raises(DomainError):
