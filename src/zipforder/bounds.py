@@ -119,27 +119,39 @@ def _log_factorial(t: float) -> float:
         raise DomainError(f"log({float(t)}!) exceeds the float range") from None
 
 
-def _poisson_point_mass(lam: float, t: float) -> float:
-    # e^-lam lam^t / t! for real t
-    return math.exp(-lam + t * math.log(lam) - _log_factorial(t))
+def _tail_bound(lam: float, t: float, denominator: float) -> float:
+    # e^-lam lam^t / t! over the geometric-series denominator, for real t.
+    # At large lam the exponent cancels and the denominator can round to 0;
+    # there the computed ratio says nothing, so the trivial bound 1 stands.
+    log_mass = -lam + t * math.log(lam) - _log_factorial(t)
+    if denominator <= 0.0 or log_mass >= 0.0:
+        return 1.0
+    return min(1.0, math.exp(log_mass) / denominator)
 
 
 def poisson_upper_tail_bound(lam: float, t: float) -> float:
-    """Exponential bound on Pr(Poi(lam) >= t), valid for real t >= lam > 0."""
+    """Exponential bound on Pr(Poi(lam) >= t), valid for real t >= lam > 0.
+
+    The bound is a probability: where it would exceed 1, or where float
+    cancellation at large lam leaves it undefined, it is 1.
+    """
     if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"lam must be finite and > 0, got {lam}")
     if not (t >= lam) or math.isinf(t):
         raise DomainError(f"upper tail bound needs t >= lam, got t={t}, lam={lam}")
-    return _poisson_point_mass(lam, t) / (1.0 - lam / (t + 1.0))
+    return _tail_bound(lam, t, 1.0 - lam / (t + 1.0))
 
 
 def poisson_lower_tail_bound(lam: float, t: float) -> float:
-    """Exponential bound on Pr(Poi(lam) <= t), valid for real 0 <= t < lam."""
+    """Exponential bound on Pr(Poi(lam) <= t), valid for real 0 <= t < lam.
+
+    Clamped to 1 like ``poisson_upper_tail_bound``.
+    """
     if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"lam must be finite and > 0, got {lam}")
     if not (0.0 <= t < lam):
         raise DomainError(f"lower tail bound needs 0 <= t < lam, got t={t}, lam={lam}")
-    return _poisson_point_mass(lam, t) / (1.0 - t / lam)
+    return _tail_bound(lam, t, 1.0 - t / lam)
 
 
 def _pair_term(params: EnsembleParams, i: int) -> float:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: threshold, bound, pick-n, simulate, analyze.  Reports are JSON
-by default; the tabular subcommands also offer CSV.  Exit codes: 0 success,
+by default, byte for byte ``json.dumps(indent=2)`` but written in bounded
+pieces; the tabular subcommands also offer CSV.  Exit codes: 0 success,
 1 domain/convergence/configuration error (values beyond the float range
 included) or unreadable input, 2 usage error.
 """
@@ -9,8 +10,10 @@ included) or unreadable input, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from .bounds import (
     EnsembleParams,
@@ -115,32 +118,92 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str) -> None:
+def _emit(pieces: Iterable[str], out_path: str) -> None:
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+_NUMBERS = {int, float}
+_CHUNK = 1024  # numbers per C-encoder call when a report streams a long list
 
 
-def _csv(header: str, rows) -> str:
+def _json(payload) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces."""
+    yield from _json_value(payload, "\n")
+    yield "\n"
+
+
+def _json_value(value, nl: str) -> Iterator[str]:
+    # ``nl`` is a newline and the indent of the line ``value`` starts on.
+    # Lists of numbers, and lists of rows of numbers, go through the C
+    # encoder a slice at a time and are re-indented by replacing its
+    # separators: the text of a number never holds ", " or "], [".
+    inner = nl + "  "
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        sep = "{" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_value(item, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if kinds <= _NUMBERS:
+            yield "[" + inner
+            yield from _json_slices(value, 1, (", ", "," + inner))
+            yield nl + "]"
+        elif (kinds <= {list, tuple} and all(value)
+              and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS):
+            row = inner + "  "
+            yield "[" + inner + "[" + row
+            yield from _json_slices(
+                value, 2, ("], [", inner + "]," + inner + "[" + row), (", ", "," + row)
+            )
+            yield inner + "]" + nl + "]"
+        else:
+            sep = "[" + inner
+            for item in value:
+                yield sep
+                yield from _json_value(item, inner)
+                sep = "," + inner
+            yield nl + "]"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", nl)
+
+
+def _json_slices(items, depth: int, *replacements: tuple[str, str]) -> Iterator[str]:
+    """The compact C-encoder text of ``items``, one slice of them at a time.
+
+    ``depth`` brackets are cut from each end of a slice's text, then each
+    (old, new) replacement is made in turn; the first one's new text, the
+    outermost separator, also joins the slices.
+    """
+    join = replacements[0][1]
+    for start in range(0, len(items), _CHUNK):
+        text = json.dumps(items[start:start + _CHUNK])[depth:-depth]
+        for old, new in replacements:
+            text = text.replace(old, new)
+        yield text if start == 0 else join + text
+
+
+def _csv(header: str, rows) -> Iterator[str]:
     """A CSV header line, then one line of comma-joined reprs per row."""
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(repr, row)) + "\n"
 
 
-def _record(payload: dict, fmt: str) -> str:
+def _record(payload: dict, fmt: str) -> Iterator[str]:
     """A one-record report: JSON, or a CSV header and one row of reprs."""
     if fmt == "csv":
         return _csv(",".join(payload), [payload.values()])
     return _json(payload)
 
 
-def _cmd_threshold(args) -> str:
+def _cmd_threshold(args) -> Iterable[str]:
     report = threshold_n_prime(args.N, args.alpha)
     payload = {
         "N": args.N,
@@ -153,7 +216,7 @@ def _cmd_threshold(args) -> str:
     return _record(payload, args.format)
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(args) -> Iterable[str]:
     report = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha, args.k))
     if args.format == "csv":
         return _csv("i,term", enumerate(report.per_pair_terms, start=1))
@@ -170,7 +233,7 @@ def _cmd_bound(args) -> str:
     )
 
 
-def _cmd_pick_n(args) -> str:
+def _cmd_pick_n(args) -> Iterable[str]:
     params = EnsembleParams(args.N, args.alpha, args.k)
     n = pick_n(params, args.epsilon, args.n_max)
     payload = {
@@ -183,7 +246,7 @@ def _cmd_pick_n(args) -> str:
     return _record(payload, args.format)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> Iterable[str]:
     summary = run_experiment(
         EnsembleParams(args.N, args.alpha, args.k),
         reps=args.reps,
@@ -196,7 +259,7 @@ def _cmd_simulate(args) -> str:
     return _json(summary.to_dict())
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> Iterable[str]:
     source = sys.stdin if args.input == "-" else args.input
     counts = load_rank_counts(source, fmt=args.input_format, total=args.total)
     report = analyze(

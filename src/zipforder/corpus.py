@@ -188,10 +188,11 @@ def load_rank_counts(
         counts.append(count)
     if not counts:
         raise ParseError("no data records found in input")
-    order = sorted(range(len(counts)), key=lambda j: -counts[j])  # stable
+    # reverse=True keeps the sort stable: ties stay in input order
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     return RankedCounts(
-        counts=tuple(float(counts[j]) for j in order),
-        labels=tuple(labels[j] for j in order),
+        counts=tuple(map(float, map(counts.__getitem__, order))),
+        labels=tuple(map(labels.__getitem__, order)),
         total=total,
     )
 
@@ -203,11 +204,10 @@ def adjacent_se(counts: RankedCounts) -> tuple[float, ...]:
     deviations separating consecutive counts.  Pairs summing to zero get a
     0 sentinel.
     """
-    out = []
-    for i in range(len(counts) - 1):
-        a, b = counts.counts[i], counts.counts[i + 1]
-        out.append((a - b) / math.sqrt(a + b) if a + b > 0 else 0.0)
-    return tuple(out)
+    c = counts.counts
+    return tuple(
+        (a - b) / math.sqrt(a + b) if a + b > 0 else 0.0 for a, b in zip(c, c[1:])
+    )
 
 
 def zipf_plot_data(

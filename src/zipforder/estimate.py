@@ -8,6 +8,7 @@ via the zeta normalisation or locally per rank via N_i = X_i i^alpha.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -47,15 +48,16 @@ class RankedCounts:
     def __post_init__(self):
         if len(self.counts) == 0:
             raise DomainError("RankedCounts needs at least one entry")
-        for c in self.counts:
-            if not (c >= 0.0) or math.isinf(c):
-                raise DomainError(f"counts must be finite and >= 0, got {c}")
-        for i in range(len(self.counts) - 1):
-            if self.counts[i] < self.counts[i + 1]:
-                raise DomainError(
-                    f"counts must be nonincreasing (rank is count order); "
-                    f"rank {i + 1} has {self.counts[i]} < {self.counts[i + 1]}"
-                )
+        c = self.counts
+        if not (all(map(math.isfinite, c)) and min(c) >= 0.0):
+            bad = next(x for x in c if not (x >= 0.0) or math.isinf(x))
+            raise DomainError(f"counts must be finite and >= 0, got {bad}")
+        if any(map(operator.lt, c, c[1:])):
+            i = next(i for i in range(len(c) - 1) if c[i] < c[i + 1])
+            raise DomainError(
+                f"counts must be nonincreasing (rank is count order); "
+                f"rank {i + 1} has {c[i]} < {c[i + 1]}"
+            )
         if self.labels is not None and len(self.labels) != len(self.counts):
             raise DomainError("labels and counts must have equal length")
         observed = math.fsum(self.counts)

@@ -127,6 +127,26 @@ class TestPoissonTailBounds:
         with pytest.raises(DomainError, match="float range"):
             poisson_lower_tail_bound(1e308, 5e307)
 
+    @pytest.mark.parametrize(
+        "bound, lam, t",
+        [
+            # 1 - lam/(t+1) rounds to 0: was ZeroDivisionError
+            (poisson_upper_tail_bound, 1e17, 1e17),
+            # the log point mass cancels to a large positive value: was OverflowError
+            (poisson_upper_tail_bound, 1e20, 1e20 * (1 + 1e-9)),
+            # same cancellation, small enough to exponentiate: was 2.3e231
+            (poisson_upper_tail_bound, 1e17, 1e17 * (1 + 1e-9)),
+            (poisson_lower_tail_bound, 1e100, 1e100 * (1 - 1e-9)),
+        ],
+    )
+    def test_large_lam_is_trivial_bound(self, bound, lam, t):
+        assert bound(lam, t) == 1.0
+
+    def test_clamped_to_one(self):
+        """Near t = lam the geometric factor pushes the raw ratio past 1."""
+        assert poisson_upper_tail_bound(100.0, 100.0) == 1.0
+        assert poisson_lower_tail_bound(100.0, 99.9) == 1.0
+
 
 class TestPrefixErrorBound:
     def test_single_rank_is_empty_sum(self):

@@ -1,11 +1,17 @@
 """CLI behaviour: exit codes, schemas, determinism, file and stdin round trips."""
 
+import hashlib
 import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zipforder import cli
 from zipforder.cli import main
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
@@ -351,3 +357,118 @@ class TestHelp:
         out = capsys.readouterr().out
         for command in ["threshold", "bound", "pick-n", "simulate", "analyze"]:
             assert command in out
+
+
+# Payloads mix every JSON-encodable kind a report could hold, including the
+# separators the streamed encoder rewrites, inside strings.
+_SCALARS = (
+    st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from([", ", "], [", "a\nb", '"q"', "\u00e9\u6f22", "[1, 2]"])
+)
+_KEYS = st.text() | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
+_NUMBERS = st.integers(-(10**30), 10**30) | st.floats()
+_PAYLOADS = st.recursive(
+    _SCALARS
+    | st.lists(_NUMBERS)
+    | st.lists(st.lists(_NUMBERS, max_size=4), max_size=6)
+    | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple), max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestStreamedJson:
+    """Reports are written in pieces whose text is json.dumps(indent=2), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, indent=2) + "\n"
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (1, 2, cli._CHUNK):  # small slices split short lists too
+                mp.setattr(cli, "_CHUNK", chunk)
+                assert "".join(cli._json(payload)) == expected
+
+    def test_lists_longer_than_two_slices(self):
+        n = 2 * cli._CHUNK + 7
+        payload = {
+            "flat": [i * 0.5 if i % 3 else -i for i in range(n)] + [math.nan, -0.0],
+            "rows": [(i, math.log(i), -math.inf) for i in range(1, n)],
+            "ints": list(range(10**29, 10**29 + n)),
+        }
+        pieces = list(cli._json(payload))
+        assert "".join(pieces) == json.dumps(payload, indent=2) + "\n"
+        assert max(map(len, pieces)) < 200 * cli._CHUNK
+
+
+def _golden_table() -> str:
+    """3,001 rows in a fixed hashed order: counts 2e6 // i, then zeros.
+
+    Counts share values in the tail, and "tie" shares rank 3's count, so
+    the top ten depend on the stable order of ties.
+    """
+    rows = [(f"w{i:05d}", 2_000_000 // i if i <= 2600 else 0) for i in range(1, 3001)]
+    rows.append(("tie", 2_000_000 // 3))
+    rows.sort(key=lambda r: hashlib.sha256(r[0].encode()).hexdigest())
+    body = "".join(f"{label}\t{count}\n" for label, count in rows)
+    return "# counts 2e6 // i, zero past rank 2600\nword\tcount\n" + body
+
+
+class TestAnalyzeBytes:
+    # SHA-256 of the bytes that json.dumps(indent=2) and the per-row CSV writers produced
+    STDOUT = "0a1dfb421e12da818f083d0e3cff6a3d2c82b610992714939094b0f1add3fb08"
+    ZIPF_CSV = "3a49df9a74e7f44c5b882994bde589cd0393c64f148e6d4cf470903366b1da3a"
+    SE_CSV = "50a128ae8f047c7eb2f762d2395b8cea23023f66b79a13cd5ea3d88c437dc736"
+
+    def test_golden_bytes(self, capsys, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text(_golden_table(), encoding="utf-8")
+        argv = ("analyze", "--input", str(table), "--alpha", "1.106", "--total", "1e8")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT
+        paths = {name: tmp_path / name for name in ("out.json", "zipf.csv", "se.csv")}
+        code, out, err = run_cli(
+            capsys, *argv, "--out", str(paths["out.json"]),
+            "--zipf-csv", str(paths["zipf.csv"]), "--se-csv", str(paths["se.csv"]),
+        )
+        assert (code, out, err) == (0, "", "")
+        digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+        assert digests == {
+            "out.json": self.STDOUT, "zipf.csv": self.ZIPF_CSV, "se.csv": self.SE_CSV,
+        }
+
+    def test_report_memory_is_bounded(self, tmp_path):
+        """10^5 floats and 10^5 point rows stream in well under the 9.5 MB of their text."""
+        n = 100_000
+        payload = {
+            "adjacent_se": [i / 7.0 for i in range(n)],
+            "zipf_points": {"points": [[i, math.log(i), 0.25 * i] for i in range(1, n + 1)]},
+        }
+        target = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._json(payload), str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.stat().st_size > 9_000_000
+        assert peak < 4_000_000
+
+    def test_failure_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", BNC_TOP10, "--alpha", "400", "--total", "1e8",
+            "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:")
+        assert not target.exists()

@@ -44,6 +44,19 @@ class TestRankedCounts:
         with pytest.raises(DomainError):
             RankedCounts(counts=(5.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((5.0, math.nan, -1.0), "got nan"),
+            ((5.0, -1.0, math.inf), "got -1.0"),
+            ((math.inf, 1.0), "got inf"),
+            ((9.0, 4.0, 7.0, 8.0), "rank 2 has 4.0 < 7.0"),
+        ],
+    )
+    def test_first_bad_value_named(self, counts, message):
+        with pytest.raises(DomainError, match=message):
+            RankedCounts(counts=counts)
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             RankedCounts(counts=())
