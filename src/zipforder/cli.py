@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .bounds import (
@@ -24,10 +25,10 @@ from .bounds import (
 from .corpus import (
     DEFAULT_SLOPES,
     DEFAULT_WINDOW,
+    _SE_CSV_HEADER,
+    _ZIPF_CSV_HEADER,
     analyze,
     load_rank_counts,
-    write_se_csv,
-    write_zipf_csv,
 )
 from .errors import ZipfOrderError
 from .simulate import run_experiment
@@ -130,6 +131,15 @@ _NUMBERS = {int, float}
 _CHUNK = 1024  # numbers per C-encoder call when a report streams a long list
 
 
+@dataclass(frozen=True)
+class _Rendered:
+    """A list of numbers (depth 1) or of rows of numbers (depth 2) as the
+    slices :func:`_render` gave, held so that several outputs share them."""
+
+    slices: tuple[str, ...]
+    depth: int
+
+
 def _json(payload) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces."""
     yield from _json_value(payload, "\n")
@@ -139,10 +149,11 @@ def _json(payload) -> Iterator[str]:
 def _json_value(value, nl: str) -> Iterator[str]:
     # ``nl`` is a newline and the indent of the line ``value`` starts on.
     # Lists of numbers, and lists of rows of numbers, go through the C
-    # encoder a slice at a time and are re-indented by replacing its
-    # separators: the text of a number never holds ", " or "], [".
+    # encoder a slice at a time, unless they come rendered already.
     inner = nl + "  "
-    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+    if isinstance(value, _Rendered):
+        yield from _indented(value.slices, value.depth, nl)
+    elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
         sep = "{" + inner
         for key, item in value.items():
             yield sep + json.dumps(key) + ": "
@@ -152,17 +163,10 @@ def _json_value(value, nl: str) -> Iterator[str]:
     elif isinstance(value, (list, tuple)) and value:
         kinds = set(map(type, value))
         if kinds <= _NUMBERS:
-            yield "[" + inner
-            yield from _json_slices(value, 1, (", ", "," + inner))
-            yield nl + "]"
+            yield from _indented(_render(value, 1), 1, nl)
         elif (kinds <= {list, tuple} and all(value)
               and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS):
-            row = inner + "  "
-            yield "[" + inner + "[" + row
-            yield from _json_slices(
-                value, 2, ("], [", inner + "]," + inner + "[" + row), (", ", "," + row)
-            )
-            yield inner + "]" + nl + "]"
+            yield from _indented(_render(value, 2), 2, nl)
         else:
             sep = "[" + inner
             for item in value:
@@ -174,19 +178,40 @@ def _json_value(value, nl: str) -> Iterator[str]:
         yield json.dumps(value, indent=2).replace("\n", nl)
 
 
-def _json_slices(items, depth: int, *replacements: tuple[str, str]) -> Iterator[str]:
+def _render(items, depth: int) -> Iterator[str]:
     """The compact C-encoder text of ``items``, one slice of them at a time.
 
-    ``depth`` brackets are cut from each end of a slice's text, then each
-    (old, new) replacement is made in turn; the first one's new text, the
-    outermost separator, also joins the slices.
+    ``depth`` brackets are cut from each end of a slice's text, so a slice
+    of numbers reads ``1, 2.5`` and a slice of rows ``1, 2.5], [2, 0.5``.
+    Numbers and rows of them cannot hold themselves, so the encoder's
+    cycle check, a dict insert and delete per row, is skipped.
     """
-    join = replacements[0][1]
     for start in range(0, len(items), _CHUNK):
-        text = json.dumps(items[start:start + _CHUNK])[depth:-depth]
+        yield json.dumps(items[start:start + _CHUNK], check_circular=False)[depth:-depth]
+
+
+def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:
+    """The ``indent=2`` text of the list whose slices :func:`_render` gave.
+
+    The compact separators are replaced, the outermost first, since the
+    text of a number never holds ", " or "], ["; the first replacement's
+    new text also joins the slices.  No slices is the empty list.
+    """
+    inner = nl + "  "
+    if depth == 1:
+        head, tail = "[" + inner, nl + "]"
+        replacements = ((", ", "," + inner),)
+    else:
+        row = inner + "  "
+        head, tail = "[" + inner + "[" + row, inner + "]" + nl + "]"
+        replacements = (("], [", inner + "]," + inner + "[" + row), (", ", "," + row))
+    sep = head
+    for text in slices:
         for old, new in replacements:
             text = text.replace(old, new)
-        yield text if start == 0 else join + text
+        yield sep + text
+        sep = replacements[0][1]
+    yield "[]" if sep is head else tail
 
 
 def _csv(header: str, rows) -> Iterator[str]:
@@ -194,6 +219,27 @@ def _csv(header: str, rows) -> Iterator[str]:
     yield header + "\n"
     for row in rows:
         yield ",".join(map(repr, row)) + "\n"
+
+
+# Every analyze value is finite: counts are finite and >= 0, so are their
+# logs, and (a - b) / sqrt(a + b) is 0 where a + b overflows.  The JSON text
+# of a finite int or float is its repr, so these are the bytes that
+# write_zipf_csv and write_se_csv write.
+def _zipf_csv(points: _Rendered) -> Iterator[str]:
+    """The plot CSV, cut from the rendered point rows."""
+    yield _ZIPF_CSV_HEADER
+    for text in points.slices:
+        yield text.replace("], [", "\n").replace(", ", ",") + "\n"
+
+
+def _se_csv(se: _Rendered) -> Iterator[str]:
+    """The SE CSV, cut from the rendered values and numbered from 1."""
+    yield _SE_CSV_HEADER
+    done = 0
+    for text in se.slices:
+        values = text.split(", ")
+        yield "".join([f"{i},{v}\n" for i, v in enumerate(values, start=done + 1)])
+        done += len(values)
 
 
 def _record(payload: dict, fmt: str) -> Iterator[str]:
@@ -271,13 +317,22 @@ def _cmd_analyze(args) -> Iterable[str]:
         alphas=args.alphas,
         slopes=tuple(args.slopes),
     )
+    # Each long column is rendered once; the JSON and both CSVs share the text.
+    se = _Rendered(tuple(_render(report.adjacent_se, 1)), 1)
+    points = _Rendered(tuple(_render(report.zipf_points.points, 2)), 2)
     if args.zipf_csv:
         with open(args.zipf_csv, "w", encoding="utf-8") as fh:
-            write_zipf_csv(report.zipf_points, fh)
+            fh.writelines(_zipf_csv(points))
     if args.se_csv:
         with open(args.se_csv, "w", encoding="utf-8") as fh:
-            write_se_csv(report.adjacent_se, fh)
-    return _json(report.to_dict())
+            fh.writelines(_se_csv(se))
+    # to_dict copies the long columns into lists; emptied first, it copies no row
+    payload = replace(
+        report, adjacent_se=(), zipf_points=replace(report.zipf_points, points=())
+    ).to_dict()
+    payload["adjacent_se"] = se
+    payload["zipf_points"]["points"] = points
+    return _json(payload)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -43,6 +43,12 @@ DEFAULT_WINDOW = (10, 100)
 DEFAULT_SLOPES = (-1.0, -1.1)
 _ANCHOR_OFFSET = 0.5  # vertical gap of the reference lines, in log space
 _PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not raised
+# the largest int that float() rounds to a finite value: 2^1024 - 2^970 and
+# above round (to even) to 2^1024, which overflows
+_MAX_COUNT = 2**1024 - 2**970 - 1
+# header lines of the CSV writers, which the CLI's writers share
+_ZIPF_CSV_HEADER = "i,ln_rank,ln_count\n"
+_SE_CSV_HEADER = "i,se\n"
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,10 @@ def load_rank_counts(
             raise ParseError(
                 f"count field {count_field!r} is not an integer", line=line_no
             ) from None
-        if count < 0:
-            raise ParseError(f"count must be >= 0, got {count}", line=line_no)
+        if not 0 <= count <= _MAX_COUNT:
+            if count < 0:
+                raise ParseError(f"count must be >= 0, got {count}", line=line_no)
+            raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
         saw_data = True
         labels.append(label)
         counts.append(count)
@@ -300,13 +308,13 @@ def analyze(
 
 def write_zipf_csv(plot: ZipfPlotData, out: IO[str]) -> None:
     """Emit the log-log points as CSV with header i,ln_rank,ln_count."""
-    out.write("i,ln_rank,ln_count\n")
+    out.write(_ZIPF_CSV_HEADER)
     for i, ln_rank, ln_count in plot.points:
         out.write(f"{i},{ln_rank!r},{ln_count!r}\n")
 
 
 def write_se_csv(se: Sequence[float], out: IO[str]) -> None:
     """Emit the adjacent standard errors as CSV with header i,se."""
-    out.write("i,se\n")
+    out.write(_SE_CSV_HEADER)
     for i, value in enumerate(se, start=1):
         out.write(f"{i},{value!r}\n")

@@ -60,7 +60,10 @@ class RankedCounts:
             )
         if self.labels is not None and len(self.labels) != len(self.counts):
             raise DomainError("labels and counts must have equal length")
-        observed = math.fsum(self.counts)
+        try:
+            observed = math.fsum(self.counts)
+        except OverflowError:
+            raise DomainError("the table sum exceeds the float range") from None
         if self.total is None:
             object.__setattr__(self, "total", observed)
         elif math.isnan(self.total) or math.isinf(self.total):

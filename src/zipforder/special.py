@@ -26,6 +26,9 @@ __all__ = [
 # root polish in solve_zeta_equals
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+# tolerances of that polish in alpha: it stops within _XTOL + _RTOL * alpha
+_XTOL = 1e-14
+_RTOL = 4 * math.ulp(1.0)
 # terms summed directly before the Euler-Maclaurin tail takes over
 _HEAD = 16
 
@@ -94,8 +97,11 @@ def solve_zeta_equals(c: float) -> float:
     zeta is strictly decreasing from +inf to 1 on (1, inf), so any c > 1 has
     exactly one preimage.  A verified bracket is expanded first, then Brent's
     method (bisection refined by secant/inverse-quadratic steps) polishes it.
-    Above zeta(1 + 2^-52), about 4.5e15, no float alpha brackets c from
-    below and ``ConvergenceError`` is raised.
+    Near alpha = 1 adjacent floats step zeta by more than the residual
+    tolerance (from c of about 5e3 on); there the converged root is bisected
+    on floats to the adjacent pair that brackets c, and the one nearer c is
+    returned.  Above zeta(1 + 2^-52), about 4.5e15, no float alpha brackets
+    c from below and ``ConvergenceError`` is raised.
     """
     if not (c > 1.0) or math.isinf(c):
         raise DomainError(f"solve_zeta_equals requires finite c > 1, got {c}")
@@ -114,14 +120,31 @@ def solve_zeta_equals(c: float) -> float:
         lambda a: riemann_zeta(a) - c,
         1.0 + lo_off,
         1.0 + hi_off,
-        xtol=1e-14,
-        rtol=4 * math.ulp(1.0),
+        xtol=_XTOL,
+        rtol=_RTOL,
         maxiter=_MAX_ITER,
         full_output=True,
         disp=False,
     )
+    tol = 10.0 * c * _REL_TOL
     residual = abs(riemann_zeta(root) - c)
-    if not res.converged or residual > 10.0 * c * _REL_TOL:
+    if res.converged and residual > tol:
+        # brentq stopped with c bracketed within xtol + rtol * root of root,
+        # a span of tens of floats near alpha = 1, where one float step
+        # moves zeta by about c^2 ulp(1): bisect it down to adjacent floats.
+        span = _XTOL + _RTOL * root
+        lo = max(root - span, 1.0 + lo_off)
+        hi = min(root + span, 1.0 + hi_off)
+        z_lo, z_hi = riemann_zeta(lo), riemann_zeta(hi)
+        if z_lo >= c >= z_hi:
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                z_mid = riemann_zeta(mid)
+                if z_mid > c:
+                    lo, z_lo = mid, z_mid
+                else:
+                    hi, z_hi = mid, z_mid
+            return lo if z_lo - c < c - z_hi else hi
+    if not res.converged or residual > tol:
         raise ConvergenceError(
             f"zeta inversion at c={c} stalled (residual {residual:.3e})"
         )

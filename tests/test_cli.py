@@ -1,17 +1,27 @@
 """CLI behaviour: exit codes, schemas, determinism, file and stdin round trips."""
 
+import contextlib
 import hashlib
 import io
 import json
 import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zipforder import cli
+from zipforder import (
+    RankedCounts,
+    ZipfOrderError,
+    analyze,
+    cli,
+    load_rank_counts,
+    write_se_csv,
+    write_zipf_csv,
+)
 from zipforder.cli import main
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
@@ -255,6 +265,13 @@ class TestAnalyze:
         assert err.startswith("zipforder: error:") and "UTF-8" in err
         assert "Traceback" not in err
 
+    def test_count_beyond_float_range_exit_code(self, capsys, tmp_path):
+        table = tmp_path / "huge.tsv"
+        table.write_text("a\t1" + "0" * 400 + "\nb\t3\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
+        assert (code, out) == (1, "")
+        assert err == "zipforder: error: line 1: count exceeds the float range (about 1.8e308)\n"
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--input", "/no/such/file.tsv", "--alpha", "1.5"
@@ -472,3 +489,99 @@ class TestAnalyzeBytes:
         assert (code, out) == (1, "")
         assert err.startswith("zipforder: error:")
         assert not target.exists()
+
+
+_LONG = 2 * cli._CHUNK + 5
+
+
+@st.composite
+def _tables(draw):
+    """A rank-count table as TSV text, and the alpha and window top to analyze it with.
+
+    Rows have 2 or 3 columns, with comments and maybe a header; counts hold
+    ties, zeros and values up to 10^308.  A long table runs past two slices
+    of the streamed encoder, with tied counts and a tail of zeros.
+    """
+    if draw(st.integers(0, 4)) == 0:
+        scale = draw(st.integers(1, 10**9))
+        length = draw(st.integers(_LONG, _LONG + 60))
+        counts = [scale // i if i < _LONG - 50 else 0 for i in range(1, length)]
+    else:
+        counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 10**6), min_size=1, max_size=25))
+        counts[0] = max(counts[0], 1)  # a zero top count has no plot anchor
+        if draw(st.booleans()):
+            huge = st.integers(10**6, 10**308) | st.just(10**308)
+            counts[draw(st.integers(0, len(counts) - 1))] = draw(huge)
+    order = draw(st.permutations(range(len(counts)))) if len(counts) < 50 else range(len(counts))
+    three = draw(st.booleans())
+    lines = ["# a comment\twith a tab"]
+    if draw(st.booleans()):
+        lines.append("rank\tword\tcount" if three else "word\tcount")
+    for n, i in enumerate(order, start=1):
+        label = "to" if i % 7 == 3 else f"w{i}"  # labels may repeat
+        lines.append(f"{n}\t{label}\t{counts[i]}" if three else f"{label}\t{counts[i]}")
+        if n == 2:
+            lines.append("# another comment")
+    alpha = draw(st.sampled_from(["1.106", "1.5", "2.5"]))
+    hi = draw(st.sampled_from(["1", "2", "10"]))
+    return "\n".join(lines) + "\n", alpha, hi
+
+
+class TestAnalyzeOutputsMatchReport:
+    """The CLI's JSON and CSVs are json.dumps(indent=2) and the CSV writers on its report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tables())
+    @example(("only\t42\n", "1.5", "1"))  # no adjacent pairs
+    @example(("a\t3\nb\t%d\nc\t0\n" % 10**308, "1.106", "1"))
+    @example(("a\t%d\nb\t%d\n" % (10**308, 10**308), "1.106", "1"))  # sum overflows
+    def test_bytes_match(self, case):
+        text, alpha, hi = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp, name) for name in ("table.tsv", "zipf.csv", "se.csv")}
+            paths["table.tsv"].write_text(text, encoding="utf-8")
+            try:
+                counts = load_rank_counts(paths["table.tsv"])
+                report = analyze(counts, alpha=float(alpha), window=(1, int(hi)))
+            except ZipfOrderError:
+                report = None
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([
+                    "analyze", "--input", str(paths["table.tsv"]), "--alpha", alpha,
+                    "--window", "1", hi,
+                    "--zipf-csv", str(paths["zipf.csv"]), "--se-csv", str(paths["se.csv"]),
+                ])
+            if report is None:
+                assert (code, out.getvalue()) == (1, "")
+                assert err.getvalue().startswith("zipforder: error:")
+                assert not paths["zipf.csv"].exists() and not paths["se.csv"].exists()
+                return
+            zipf, se = io.StringIO(), io.StringIO()
+            write_zipf_csv(report.zipf_points, zipf)
+            write_se_csv(report.adjacent_se, se)
+            assert (code, err.getvalue()) == (0, "")
+            assert out.getvalue() == json.dumps(report.to_dict(), indent=2) + "\n"
+            assert paths["zipf.csv"].read_text(encoding="utf-8") == zipf.getvalue()
+            assert paths["se.csv"].read_text(encoding="utf-8") == se.getvalue()
+
+
+def test_analyze_payload_copies_no_rows(monkeypatch):
+    """The analyze handler holds each long column's text once, and no copy of its rows."""
+    n = 100_000
+    counts = RankedCounts(counts=tuple(float(2 * n - i) for i in range(n)))
+    report = analyze(counts, alpha=1.106, window=(1, 10))
+    monkeypatch.setattr(cli, "load_rank_counts", lambda *a, **k: counts)
+    monkeypatch.setattr(cli, "analyze", lambda *a, **k: report)
+    args = cli._build_parser().parse_args(["analyze", "--input", "-", "--alpha", "1.106"])
+    text = sum(map(len, cli._render(report.adjacent_se, 1))) + sum(
+        map(len, cli._render(report.zipf_points.points, 2)))
+    tracemalloc.start()
+    try:
+        pieces = args.handler(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text > 5_000_000
+    assert peak < text + 500_000  # a list copy of the point rows alone is ~10 MB
+    assert "".join(pieces) == json.dumps(report.to_dict(), indent=2) + "\n"

@@ -68,6 +68,19 @@ class TestLoadRankCounts:
         with pytest.raises(ParseError, match="line 2: count must be >= 0"):
             load_rank_counts(io.StringIO("a\t9\nb\t-3\n"))
 
+    def test_count_beyond_float_range_rejected(self):
+        text = "a\t1\nb\t1" + "0" * 400 + "\nc\t3\n"
+        with pytest.raises(ParseError, match="line 2: count exceeds the float range"):
+            load_rank_counts(io.StringIO(text))
+
+    def test_float_range_edge(self):
+        """The largest count float() rounds to a finite value parses; the next is refused."""
+        edge = 2**1024 - 2**970 - 1
+        assert load_rank_counts(io.StringIO(f"a\t{edge}\n")).counts == (1.7976931348623157e308,)
+        assert load_rank_counts(io.StringIO(f"a\t3\nb\t{10**308}\n")).counts == (1e308, 3.0)
+        with pytest.raises(ParseError, match="line 1: count exceeds the float range"):
+            load_rank_counts(io.StringIO(f"a\t{edge + 1}\n"))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no data"):
             load_rank_counts(io.StringIO("# nothing here\n"), fmt="csv")

@@ -70,6 +70,10 @@ class TestRankedCounts:
         with pytest.raises(DomainError, match="total must be finite"):
             RankedCounts(counts=(5.0, 3.0), total=total)
 
+    def test_sum_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="table sum exceeds the float range"):
+            RankedCounts(counts=(1e308, 1e308))
+
     @pytest.mark.parametrize("rank", [0, 3])
     def test_count_rank_checked(self, rank):
         with pytest.raises(DomainError, match="outside table"):

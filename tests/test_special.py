@@ -148,6 +148,21 @@ class TestSolveZetaEquals:
             alpha = solve_zeta_equals(c)
             assert abs(riemann_zeta(alpha) - c) <= 10.0 * c * 1e-12
 
+    @pytest.mark.parametrize("c", [4934.0, 1e6, 1e9, 1e12, 1e15])
+    def test_float_bracket(self, c):
+        """Where one float step moves zeta past the tolerance, the root's neighbours bracket c."""
+        alpha = solve_zeta_equals(c)
+        below, above = math.nextafter(alpha, 1.0), math.nextafter(alpha, 2.0)
+        assert riemann_zeta(below) >= c >= riemann_zeta(above)
+        assert abs(riemann_zeta(alpha) - c) <= min(
+            riemann_zeta(below) - c, c - riemann_zeta(above)
+        )
+        if c == 4934.0:
+            assert abs(riemann_zeta(alpha) - c) <= 10.0 * c * 1e-12
+
+    def test_polished_roots_unchanged(self):
+        assert solve_zeta_equals(10.0) == 1.106212299474838
+
     def test_starved_iteration_budget(self, monkeypatch):
         monkeypatch.setattr("zipforder.special._MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
