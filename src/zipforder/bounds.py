@@ -88,7 +88,6 @@ class ThresholdReport:
     A_const: float
     n_prime: float
     n_prime_floor: int
-    inputs: EnsembleParams
     log_N: float
 
 
@@ -241,7 +240,6 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
         A_const=a_const,
         n_prime=n_prime,
         n_prime_floor=math.floor(n_prime),
-        inputs=EnsembleParams(N, alpha, 0.0),
         log_N=log_n,
     )
 

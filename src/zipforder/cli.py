@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="json report, or csv rows i,term (default json)")
 
-    p = sub.add_parser("pick-n", help="largest prefix whose error bound stays below epsilon")
+    p = sub.add_parser("pick-n", help="largest prefix whose error bound stays at or below epsilon")
     p.set_defaults(handler=_cmd_pick_n)
     _add_ensemble_flags(p)
     p.add_argument("--epsilon", type=float, default=0.01,
@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=float, nargs="+", default=None,
                    help="sensitivity grid (default: alpha +/- 0.05)")
     p.add_argument("--slopes", type=float, nargs=2, default=DEFAULT_SLOPES,
-                   metavar=("S1", "S2"), help="reference line slopes (default -1 -1.1)")
+                   metavar=("S1", "S2"),
+                   help="finite reference line slopes (default -1 -1.1)")
     p.add_argument("--zipf-csv", default=None,
                    help="also write log-log plot points to this CSV path")
     p.add_argument("--se-csv", default=None,
@@ -272,7 +273,7 @@ def _cmd_bound(args) -> Iterable[str]:
             "N": args.N,
             "alpha": args.alpha,
             "k": args.k,
-            "per_pair_terms": list(report.per_pair_terms),
+            "per_pair_terms": report.per_pair_terms,
             "bonferroni_sum": report.bonferroni_sum,
             "clamped_probability": report.clamped_probability,
         }

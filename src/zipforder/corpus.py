@@ -1,28 +1,30 @@
 """Rank-count table ingestion and whole-corpus ordering analysis.
 
 Input format: UTF-8 TSV or CSV with columns (label, count) or
-(rank, label, count); '#' lines are comments and a header row is detected
-by a non-numeric count field.  The analysis composes the scale estimators,
+(rank, label, count); '#' lines are comments, and the first record is a
+header only when its count field is no number, even with ',' and '_'
+removed.  The analysis composes the scale estimators,
 ordering thresholds and diagnostics into one self-describing report; plot
 rendering is left to external tools, only plot data is emitted.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .bounds import EnsembleParams, pick_n, threshold_n_hat, threshold_n_prime
+from .bounds import EnsembleParams, pick_n, threshold_n_hat
 from .errors import DomainError, ParseError
 from .estimate import (
     RankedCounts,
     SensitivityReport,
     estimate_N_total,
-    local_scale_estimates,
     sensitivity_sweep,
 )
 
@@ -143,6 +145,14 @@ def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> lis
     return list(data)
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field.replace(",", "").replace("_", ""))
+    except ValueError:
+        return False
+    return True
+
+
 def load_rank_counts(
     source, fmt: str = "tsv", total: float | None = None
 ) -> RankedCounts:
@@ -164,12 +174,11 @@ def load_rank_counts(
     delimiter = "\t" if fmt == "tsv" else ","
     labels: list[str] = []
     counts: list[int] = []
-    saw_data = False
     header_skipped = False
     for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
-        if not row or not "".join(row).strip() or row[0].lstrip().startswith("#"):
-            continue
         fields = [f.strip() for f in row]
+        if not any(fields) or fields[0].startswith("#"):
+            continue
         if len(fields) == 2:
             label, count_field = fields
         elif len(fields) == 3:
@@ -181,7 +190,7 @@ def load_rank_counts(
         try:
             count = int(count_field)
         except ValueError:
-            if not saw_data and not header_skipped:
+            if not (counts or header_skipped or _is_number(count_field)):
                 header_skipped = True  # a single leading header row is allowed
                 continue
             raise ParseError(
@@ -191,7 +200,6 @@ def load_rank_counts(
             if count < 0:
                 raise ParseError(f"count must be >= 0, got {count}", line=line_no)
             raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
-        saw_data = True
         labels.append(label)
         counts.append(count)
     if not counts:
@@ -223,25 +231,25 @@ def zipf_plot_data(
 ) -> ZipfPlotData:
     """Log-log plot points with reference lines anchored around the data.
 
-    The first line passes through (0, max ln X + 0.5), the second through
-    (0, ln X_1 - 0.5); both offsets are presentation constants.  Zero counts
-    cannot be plotted on a log scale and are reported as skipped.
+    The lines pass through (0, ln X_1 + 0.5) and (0, ln X_1 - 0.5), ln X_1
+    being the largest log count; 0.5 is a presentation offset, and the
+    slopes must be finite.
+    Zero counts cannot be plotted on a log scale and are reported as skipped.
     """
-    if counts.counts[0] <= 0.0:
+    c = counts.counts
+    if c[0] <= 0.0:
         raise DomainError("rank 1 has count 0; nothing to anchor the plot on")
-    points = []
-    skipped = []
-    for i, c in enumerate(counts.counts, start=1):
-        if c > 0.0:
-            points.append((i, math.log(i), math.log(c)))
-        else:
-            skipped.append(i)
-    top = max(p[2] for p in points)
+    if not all(map(math.isfinite, slopes)):
+        raise DomainError(f"reference line slopes must be finite, got {slopes}")
+    plotted = bisect.bisect_left(c, 0.0, key=operator.neg)  # zero counts are a suffix
+    ranks = range(1, plotted + 1)
+    top = math.log(c[0])
     lines = (
         ReferenceLine(slope=slopes[0], intercept=top + _ANCHOR_OFFSET),
-        ReferenceLine(slope=slopes[1], intercept=math.log(counts.counts[0]) - _ANCHOR_OFFSET),
+        ReferenceLine(slope=slopes[1], intercept=top - _ANCHOR_OFFSET),
     )
-    return ZipfPlotData(points=tuple(points), skipped_ranks=tuple(skipped), lines=lines)
+    points = tuple(zip(ranks, map(math.log, ranks), map(math.log, c[:plotted])))
+    return ZipfPlotData(points, tuple(range(plotted + 1, len(c) + 1)), lines)
 
 
 def _default_alpha_grid(alpha: float) -> tuple[float, ...]:
@@ -262,10 +270,9 @@ def analyze(
     """Run the full ordering analysis of one rank-count table.
 
     The scale used for the error bounds comes from the recorded total
-    (N = T / zeta(alpha, k+1)); the ``n_prime`` threshold is additionally
-    evaluated at the conservative window-minimum scale estimate, mirroring
-    how a corpus with local power-law fit is handled.  The requested window
-    is clamped to the table length.
+    (N = T / zeta(alpha, k+1)); ``n_prime`` and ``window_scale_min`` are the
+    sensitivity sweep's row at ``alpha``, from the conservative window-minimum
+    scale.  The requested window is clamped to the table length.
     """
     total = counts.total
     n_total = estimate_N_total(total, alpha, k)
@@ -277,21 +284,20 @@ def analyze(
         raise DomainError(
             f"window {window} does not intersect a table of length {len(counts)}"
         )
-    scales = local_scale_estimates(counts, alpha, lo, hi)
-    n_prime = threshold_n_prime(scales.minimum, alpha).n_prime
+    at_alpha = sensitivity_sweep(counts, (alpha,), lo, hi).rows[0]
     n_hat = threshold_n_hat(total, alpha)
 
     picked = pick_n(params, epsilon, _PICK_N_CAP)
 
     grid = tuple(alphas) if alphas is not None else _default_alpha_grid(alpha)
-    report = AnalysisReport(
+    return AnalysisReport(
         counts_summary=CountsSummary(
             length=len(counts),
             total=total,
             top=tuple(itertools.islice(counts.rows(), 10)),
         ),
         params_used=params,
-        n_prime=n_prime,
+        n_prime=at_alpha.n_prime,
         n_hat=n_hat,
         pick_n_result=picked,
         pick_n_cap_reached=picked == _PICK_N_CAP,
@@ -301,9 +307,8 @@ def analyze(
         sensitivity=sensitivity_sweep(counts, grid, lo, hi),
         window=(lo, hi),
         epsilon=epsilon,
-        window_scale_min=scales.minimum,
+        window_scale_min=at_alpha.N_est,
     )
-    return report
 
 
 def write_zipf_csv(plot: ZipfPlotData, out: IO[str]) -> None:

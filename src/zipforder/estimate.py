@@ -2,14 +2,13 @@
 
 The decay exponent alpha is always user-supplied (chosen by inspecting the
 log-log plot); only the scale N is estimated, either from the total count
-via the zeta normalisation or locally per rank via N_i = X_i i^alpha.
+via the zeta normalisation or as the smallest N_i = X_i i^alpha in a window.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,7 +18,6 @@ from .special import hurwitz_zeta
 
 __all__ = [
     "RankedCounts",
-    "ScaleEstimates",
     "SensitivityRow",
     "SensitivityReport",
     "estimate_N_total",
@@ -89,16 +87,6 @@ class RankedCounts:
 
 
 @dataclass(frozen=True)
-class ScaleEstimates:
-    """Per-rank scale estimates N_i = X_i i^alpha with summary statistics."""
-
-    rows: tuple[tuple[int, float], ...]
-    minimum: float
-    median: float
-    maximum: float
-
-
-@dataclass(frozen=True)
 class SensitivityRow:
     alpha: float
     N_est: float
@@ -135,17 +123,20 @@ def estimate_N_total(T: float, alpha: float, k: float) -> float:
 
 def local_scale_estimates(
     counts: RankedCounts, alpha: float, lo: int, hi: int
-) -> ScaleEstimates:
-    """Per-rank estimates N_i = X_i i^alpha over the rank window [lo, hi]."""
+) -> float:
+    """Window scale: the smallest N_i = X_i i^alpha over ranks [lo, hi].
+
+    The minimum is conservative: a smaller N gives a smaller threshold.
+    """
     if not (alpha > 1.0) or math.isinf(alpha):
         raise DomainError(f"alpha must be finite and > 1, got {alpha}")
     if not 1 <= lo <= hi <= len(counts):
         raise DomainError(
             f"window [{lo}, {hi}] invalid for a table of length {len(counts)}"
         )
-    rows = []
+    smallest = math.inf
     for i in range(lo, hi + 1):
-        x = counts.count(i)
+        x = counts.counts[i - 1]
         if x <= 0.0:
             raise DomainError(f"rank {i} has count 0; no scale estimate there")
         try:
@@ -156,14 +147,8 @@ def local_scale_estimates(
             raise DomainError(
                 f"N_i = X_i i^alpha exceeds the float range at rank {i}, alpha={alpha}"
             )
-        rows.append((i, scale))
-    values = [v for _, v in rows]
-    return ScaleEstimates(
-        rows=tuple(rows),
-        minimum=min(values),
-        median=statistics.median(values),
-        maximum=max(values),
-    )
+        smallest = min(smallest, scale)
+    return smallest
 
 
 def sensitivity_sweep(
@@ -171,12 +156,11 @@ def sensitivity_sweep(
 ) -> SensitivityReport:
     """Sweep alpha over a grid, re-estimating N and the ordering threshold.
 
-    The scale for each alpha is the window minimum of the N_i, the
-    conservative choice (smaller N gives a smaller threshold).
+    The scale for each alpha is ``local_scale_estimates`` over the window.
     """
     rows = []
     for alpha in alphas:
-        est = local_scale_estimates(counts, alpha, lo, hi)
-        n_prime = threshold_n_prime(est.minimum, alpha).n_prime
-        rows.append(SensitivityRow(alpha=alpha, N_est=est.minimum, n_prime=n_prime))
+        scale = local_scale_estimates(counts, alpha, lo, hi)
+        n_prime = threshold_n_prime(scale, alpha).n_prime
+        rows.append(SensitivityRow(alpha=alpha, N_est=scale, n_prime=n_prime))
     return SensitivityReport(rows=tuple(rows))

@@ -298,7 +298,6 @@ class TestThresholds:
         assert report.n_prime_floor == 72
         assert report.A_const == pytest.approx(threshold_A(1.106))
         assert report.log_N == pytest.approx(math.log(1e7))
-        assert report.inputs.N == 1e7
 
     def test_n_prime_monotone_in_N(self):
         assert (

@@ -99,6 +99,15 @@ class TestBound:
         assert code == 0
         assert out == "i,term\n"
 
+    def test_json_empty_terms(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--N", "100", "--alpha", "2", "--n", "1")
+        assert code == 0
+        assert out == json.dumps(
+            {"n": 1, "N": 100.0, "alpha": 2.0, "k": 0.0, "per_pair_terms": [],
+             "bonferroni_sum": 0.0, "clamped_probability": 0.0},
+            indent=2,
+        ) + "\n"
+
 
 class TestPickN:
     def test_default_epsilon(self, capsys):
@@ -271,6 +280,25 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
         assert (code, out) == (1, "")
         assert err == "zipforder: error: line 1: count exceeds the float range (about 1.8e308)\n"
+
+    def test_decimal_top_count_exit_code(self, capsys, tmp_path):
+        table = tmp_path / "decimal.tsv"
+        table.write_text("the\t100.0\nof\t50\nand\t10\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
+        assert (code, out) == (1, "")
+        assert err == "zipforder: error: line 1: count field '100.0' is not an integer\n"
+
+    def test_non_finite_slopes_exit_code(self, capsys, tmp_path):
+        outputs = [tmp_path / name for name in ("out.json", "zipf.csv", "se.csv")]
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", BNC_TOP10, "--alpha", "1.106", "--total", "1e8",
+            "--slopes", "nan", "inf", "--out", str(outputs[0]),
+            "--zipf-csv", str(outputs[1]), "--se-csv", str(outputs[2]),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:") and err.count("\n") == 1
+        assert "slopes must be finite" in err
+        assert not any(p.exists() for p in outputs)
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -56,6 +56,32 @@ class TestLoadRankCounts:
         # auto looks past the comment, whose tab says nothing of the delimiter
         assert load_rank_counts(io.StringIO(text), fmt="auto") == table
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "word\tfreq\nthe\t100\nof\t50\n",
+            "rank\tword\tcount\n1\tthe\t100\n2\tof\t50\n",
+            "word\t\nthe\t100\nof\t50\n",
+        ],
+    )
+    def test_header_forms_skipped(self, text):
+        table = load_rank_counts(io.StringIO(text), fmt="auto")
+        assert table.counts == (100.0, 50.0)
+        assert table.labels == ("the", "of")
+
+    @pytest.mark.parametrize("count", ["100.0", "1e6", "6,187,267", "1_000.5", "nan", "inf"])
+    def test_numeric_first_count_is_not_a_header(self, count):
+        """A first record whose count is a number, but no integer, keeps rank 1 by failing."""
+        lines = [f"the\t{count}", "of\t50", "and\t10"]
+        with pytest.raises(ParseError, match="^line 1: count field"):
+            load_rank_counts(lines, fmt="tsv")
+        with pytest.raises(ParseError, match="^line 2: count field"):
+            load_rank_counts(["# list", *lines], fmt="tsv")
+
+    def test_second_header_rejected(self):
+        with pytest.raises(ParseError, match="line 2"):
+            load_rank_counts(["word\tcount", "word\tcount", "the\t9"], fmt="tsv")
+
     def test_malformed_count_has_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             load_rank_counts(io.StringIO("a,9\nb,3\nc,x\n"), fmt="csv")
@@ -162,6 +188,27 @@ class TestZipfPlotData:
         assert len(plot.points) == 1
         assert plot.skipped_ranks == (2, 3)
 
+    def test_matches_per_row_rule(self):
+        """Points are the positive counts and the skipped ranks are the zeros, as
+        a per-row pass over tables of every zero-tail length gives them."""
+        rng = np.random.default_rng(3)
+        for length in range(1, 30):
+            for zeros in range(length):
+                c = np.sort(rng.integers(1, 1000, size=length))[::-1].astype(float)
+                c[length - zeros:] = 0.0
+                plot = zipf_plot_data(RankedCounts(counts=tuple(c)))
+                ranks = range(1, length + 1)
+                assert plot.points == tuple(
+                    (i, math.log(i), math.log(x)) for i, x in zip(ranks, c) if x > 0.0
+                )
+                assert plot.skipped_ranks == tuple(i for i, x in zip(ranks, c) if x == 0.0)
+                assert plot.lines[0].intercept == math.log(c[0]) + 0.5
+
+    @pytest.mark.parametrize("slopes", [(math.nan, -1.1), (-1.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_slope_rejected(self, slopes):
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            zipf_plot_data(RankedCounts(counts=(10.0, 5.0)), slopes=slopes)
+
     def test_zero_top_count_rejected(self):
         with pytest.raises(DomainError, match="rank 1 has count 0"):
             zipf_plot_data(RankedCounts(counts=(0.0, 0.0)))
@@ -193,6 +240,21 @@ class TestAnalyze:
         n_est = report.window_scale_min
         assert report.n_prime == threshold_n_prime(n_est, 1.2).n_prime
         assert n_est == pytest.approx(1e6, rel=1e-2)
+
+    @pytest.mark.parametrize("alphas", [None, (1.05, 1.106, 1.15), (1.3, 1.4)])
+    @pytest.mark.parametrize("window", [(10, 100), (1, 5), (50, 10_000)])
+    def test_window_threshold_is_brute_force_minimum(self, synthetic_bnc_like, alphas, window):
+        """n_prime and window_scale_min come from min_i X_i i^alpha over the
+        clamped window, whether or not alpha is on the sensitivity grid."""
+        alpha = 1.106
+        report = analyze(synthetic_bnc_like, alpha=alpha, window=window, alphas=alphas)
+        lo, hi = report.window
+        assert hi == min(window[1], len(synthetic_bnc_like))
+        scale = min(synthetic_bnc_like.count(i) * i**alpha for i in range(lo, hi + 1))
+        assert report.window_scale_min == scale
+        assert report.n_prime == threshold_n_prime(scale, alpha).n_prime
+        on_grid = [r for r in report.sensitivity.rows if r.alpha == alpha]
+        assert len(on_grid) == (alphas is None or alpha in alphas)
 
     def test_echoes_inputs(self, synthetic_bnc_like):
         report = analyze(

@@ -109,23 +109,20 @@ class TestEstimateNTotal:
 class TestLocalScaleEstimates:
     def test_single_entry(self):
         t = RankedCounts(counts=(7.0,))
-        est = local_scale_estimates(t, 1.7, 1, 1)
-        assert est.rows == ((1, 7.0),)
-        assert est.minimum == est.median == est.maximum == 7.0
+        assert local_scale_estimates(t, 1.7, 1, 1) == 7.0
 
     def test_rounded_zipf_recovers_scale(self):
         """Counts round(N i^-alpha) give N_i within 1% of N for i <= 20."""
         t = make_zipf_table(1e6, 1.2, 50)
-        est = local_scale_estimates(t, 1.2, 1, 20)
-        for _, n_i in est.rows:
-            assert n_i == pytest.approx(1e6, rel=1e-2)
+        for i in range(1, 21):
+            assert local_scale_estimates(t, 1.2, i, i) == pytest.approx(1e6, rel=1e-2)
 
     def test_exact_real_valued_means_are_fixed_point(self):
         ranks = np.arange(1, 101, dtype=float)
         t = RankedCounts(counts=tuple(2.5e5 * ranks**-1.4))
-        est = local_scale_estimates(t, 1.4, 1, 100)
-        for _, n_i in est.rows:
-            assert n_i == pytest.approx(2.5e5, rel=1e-9)
+        for i in range(1, 101):
+            assert local_scale_estimates(t, 1.4, i, i) == pytest.approx(2.5e5, rel=1e-9)
+        assert local_scale_estimates(t, 1.4, 1, 100) == pytest.approx(2.5e5, rel=1e-9)
 
     def test_zero_count_in_window_rejected(self):
         t = RankedCounts(counts=(5.0, 1.0, 0.0))
@@ -136,7 +133,8 @@ class TestLocalScaleEstimates:
         """6^400 and 1e300 * 2^30 overflow: a DomainError naming the rank, not
         OverflowError or inf."""
         t = RankedCounts(counts=(5.0, 3.0, 2.0) + (1.0,) * 7)
-        assert local_scale_estimates(t, 300.0, 1, 2).maximum == 3.0 * 2.0**300
+        assert local_scale_estimates(t, 300.0, 2, 2) == 3.0 * 2.0**300
+        assert local_scale_estimates(t, 300.0, 1, 2) == 5.0
         with pytest.raises(DomainError, match="rank 6,"):
             local_scale_estimates(t, 400.0, 1, 10)
         with pytest.raises(DomainError, match="rank 2"):
@@ -151,20 +149,29 @@ class TestLocalScaleEstimates:
         with pytest.raises(DomainError):
             local_scale_estimates(t, 1.5, 2, 1)
 
-    def test_summary_statistics(self):
+    def test_window_minimum_matches_brute_force(self):
+        """The estimate is min over the window of X_i * i**alpha, bit for bit,
+        wherever in the window the minimum falls."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            length = int(rng.integers(1, 40))
+            counts = np.sort(rng.integers(1, 10**6, size=length))[::-1].astype(float)
+            t = RankedCounts(counts=tuple(counts))
+            alpha = float(rng.uniform(1.01, 3.0))
+            lo = int(rng.integers(1, length + 1))
+            hi = int(rng.integers(lo, length + 1))
+            expect = min(t.counts[i - 1] * i**alpha for i in range(lo, hi + 1))
+            assert local_scale_estimates(t, alpha, lo, hi) == expect
         t = RankedCounts(counts=(10.0, 10.0, 10.0))
-        est = local_scale_estimates(t, 2.0, 1, 3)
-        values = [v for _, v in est.rows]
-        assert est.minimum == min(values)
-        assert est.maximum == max(values)
-        assert est.minimum <= est.median <= est.maximum
+        assert local_scale_estimates(t, 2.0, 1, 3) == 10.0
+        assert local_scale_estimates(t, 2.0, 2, 3) == 40.0
 
     def test_corpus_rank10_scale(self):
         """The rank-10 count from the real corpus table gives N_10 = X_10 * 10^alpha."""
         est = local_scale_estimates(
             RankedCounts(counts=(1039323.0,)), 1.106, 1, 1
         )
-        assert est.minimum == pytest.approx(1039323.0)
+        assert est == pytest.approx(1039323.0)
         n_10 = 1039323.0 * 10.0**1.106
         assert n_10 == pytest.approx(1.3266e7, rel=1e-4)
 
@@ -179,8 +186,8 @@ class TestSensitivitySweep:
         report = sensitivity_sweep(synthetic_bnc_like, [1.106], 10, 100)
         est = local_scale_estimates(synthetic_bnc_like, 1.106, 10, 100)
         row = report.rows[0]
-        assert row.N_est == est.minimum
-        assert row.n_prime == threshold_n_prime(est.minimum, 1.106).n_prime
+        assert row.N_est == est
+        assert row.n_prime == threshold_n_prime(est, 1.106).n_prime
 
     def test_exact_zipf_direction_recorded(self):
         """Observed direction on exact Zipf input: n' peaks at the true alpha.
