@@ -12,12 +12,12 @@ top-ranked entities keep their true order in a sample:
   closed form, and the largest prefix length holding that bound below a
   target;
 * the ``(A N / ln N)^(1/(alpha+2))`` ordering threshold with
-  ``A = alpha^2 (alpha+2) / 4``, plus its variant driven by the observed
-  total count;
+  ``A = alpha^2 (alpha+2) / 4``;
 * tail-jumper and interloper bounds controlling entities from deep ranks
   overtaking the head, and a computable lower bound on adjacent swaps.
 
-All functions are pure; "log" is the natural log throughout.
+All functions are pure and need only ``math``; "log" is the natural log
+throughout.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import riemann_zeta
 
 __all__ = [
     "EnsembleParams",
@@ -40,7 +39,6 @@ __all__ = [
     "pick_n",
     "threshold_A",
     "threshold_n_prime",
-    "threshold_n_hat",
     "jumper_bound",
     "interloper_bound",
     "swap_lower_bound",
@@ -109,20 +107,16 @@ def skellam_order_bound(lam: float, nu: float) -> float:
     return math.exp(-((math.sqrt(lam) - math.sqrt(nu)) ** 2))
 
 
-def _log_factorial(t: float) -> float:
-    # log t! read as log Gamma(t+1) for real t >= 0; it passes the float
-    # range near t = 2.5e305, where math.lgamma raises OverflowError
-    try:
-        return math.lgamma(t + 1.0)
-    except OverflowError:
-        raise DomainError(f"log({float(t)}!) exceeds the float range") from None
-
-
 def _tail_bound(lam: float, t: float, denominator: float) -> float:
-    # e^-lam lam^t / t! over the geometric-series denominator, for real t.
+    # e^-lam lam^t / t! over the geometric-series denominator, for real t,
+    # with log t! read as log Gamma(t+1); that passes the float range near
+    # t = 2.5e305, where math.lgamma raises OverflowError.
     # At large lam the exponent cancels and the denominator can round to 0;
     # there the computed ratio says nothing, so the trivial bound 1 stands.
-    log_mass = -lam + t * math.log(lam) - _log_factorial(t)
+    try:
+        log_mass = -lam + t * math.log(lam) - math.lgamma(t + 1.0)
+    except OverflowError:
+        raise DomainError(f"log({float(t)}!) exceeds the float range") from None
     if denominator <= 0.0 or log_mass >= 0.0:
         return 1.0
     return min(1.0, math.exp(log_mass) / denominator)
@@ -242,16 +236,6 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
         n_prime_floor=math.floor(n_prime),
         log_N=log_n,
     )
-
-
-def threshold_n_hat(T: float, alpha: float) -> float:
-    """Ordering threshold driven by the total count: n' evaluated at N = T / zeta(alpha)."""
-    if not (T > 0.0) or math.isinf(T):
-        raise DomainError(f"T must be finite and > 0, got {T}")
-    scale = T / riemann_zeta(alpha)
-    if scale <= 1.0:
-        raise DomainError(f"T/zeta(alpha) must exceed 1, got {scale}")
-    return threshold_n_prime(scale, alpha).n_prime
 
 
 def jumper_bound(n: int, tau: float, params: EnsembleParams) -> float:

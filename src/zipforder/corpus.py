@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .bounds import EnsembleParams, pick_n, threshold_n_hat
+from .bounds import EnsembleParams, pick_n
 from .errors import DomainError, ParseError
 from .estimate import (
     RankedCounts,
     SensitivityReport,
     estimate_N_total,
     sensitivity_sweep,
+    threshold_n_hat,
 )
 
 __all__ = [
@@ -190,12 +191,17 @@ def load_rank_counts(
         try:
             count = int(count_field)
         except ValueError:
-            if not (counts or header_skipped or _is_number(count_field)):
+            if count_field.isascii() and count_field.isdigit():
+                # int() refuses digit strings past its limit (4,300 digits by
+                # default, 640 at least), and all of them are past 1.8e308
+                count = math.inf
+            elif not (counts or header_skipped or _is_number(count_field)):
                 header_skipped = True  # a single leading header row is allowed
                 continue
-            raise ParseError(
-                f"count field {count_field!r} is not an integer", line=line_no
-            ) from None
+            else:
+                raise ParseError(
+                    f"count field {count_field!r} is not an integer", line=line_no
+                ) from None
         if not 0 <= count <= _MAX_COUNT:
             if count < 0:
                 raise ParseError(f"count must be >= 0, got {count}", line=line_no)

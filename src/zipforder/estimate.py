@@ -3,6 +3,8 @@
 The decay exponent alpha is always user-supplied (chosen by inspecting the
 log-log plot); only the scale N is estimated, either from the total count
 via the zeta normalisation or as the smallest N_i = X_i i^alpha in a window.
+The ordering threshold driven by the total count, n-hat, is the threshold
+n' at N = T / zeta(alpha).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "SensitivityRow",
     "SensitivityReport",
     "estimate_N_total",
+    "threshold_n_hat",
     "local_scale_estimates",
     "sensitivity_sweep",
 ]
@@ -74,12 +77,6 @@ class RankedCounts:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def count(self, rank: int) -> float:
-        """Count at 1-based rank."""
-        if not 1 <= rank <= len(self.counts):
-            raise DomainError(f"rank {rank} outside table of length {len(self.counts)}")
-        return self.counts[rank - 1]
-
     def rows(self) -> Iterator[tuple[int, str | None, float]]:
         """Iterate (rank, label, count)."""
         for i, c in enumerate(self.counts, start=1):
@@ -119,6 +116,11 @@ def estimate_N_total(T: float, alpha: float, k: float) -> float:
     if not (k >= 0.0) or math.isinf(k):
         raise DomainError(f"k must be finite and >= 0, got {k}")
     return T / hurwitz_zeta(alpha, k + 1.0)
+
+
+def threshold_n_hat(T: float, alpha: float) -> float:
+    """Ordering threshold driven by the total count: n' at N = T / zeta(alpha)."""
+    return threshold_n_prime(estimate_N_total(T, alpha, 0.0), alpha).n_prime
 
 
 def local_scale_estimates(

@@ -48,12 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    EnsembleParams,
-    _log_factorial,
-    poisson_upper_tail_bound,
-    threshold_n_prime,
-)
+from .bounds import EnsembleParams, poisson_upper_tail_bound, threshold_n_prime
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -141,17 +136,22 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
     2**20 raises ``ConfigurationError``.
 
     Counts are integers, so X >= tau exactly when X >= t = ceil(tau) >= 1,
-    and the certificate bounds the sum over i > M of Pr(X_i >= t).  The term
-    of rank M+1 is ``poisson_upper_tail_bound``.  For i >= M+2 that bound is
-    at most e^-lam lam^t / (t! (1 - lam_{M+2}/(t+1))) with lam = lam_i, and
-    below t the factor e^-lam lam^t increases with lam, so its sum over
-    i >= M+2 is at most the integral over x >= M+1 of e^-lam(x) lam(x)^t,
-    where lam(x) = N (x+k)^-alpha.  Substituting lam = lam(x), which holds
-    for any k >= 0, turns the integral into (N^(1/alpha) / alpha)
-    gamma(s, lam_{M+1}) with s = t - 1/alpha > 0, and the lower incomplete
-    gamma obeys gamma(s, x) <= x^s e^-x / (s - x) for x < s.  A candidate
-    with lam_{M+1} >= s has no finite bound and is passed over, and so is
-    one whose lam_{M+1} underflows to 0.
+    and the certificate bounds the sum over i > M of Pr(X_i >= t) by the
+    rank-(M+1) tail bound ``poisson_upper_tail_bound(lam, t)``, lam =
+    lam_{M+1}, times 1 + r with s = t - 1/alpha > 0 and
+
+        r = (M+1+k) (1 - lam/(t+1)) / (alpha (s - lam) (1 - lam_{M+2}/(t+1))).
+
+    For i >= M+2 the tail bound is at most e^-lam_i lam_i^t / (t! (1 -
+    lam_{M+2}/(t+1))), and below t the factor e^-lam lam^t increases with lam,
+    so the sum over i >= M+2 is at most the integral over x >= M+1 of
+    e^-lam(x) lam(x)^t, lam(x) = N (x+k)^-alpha.  Substituting lam = lam(x),
+    valid for any k >= 0, turns it into (N^(1/alpha) / alpha) gamma(s, lam),
+    and gamma(s, x) <= x^s e^-x / (s - x) for x < s.  As (N / lam)^(1/alpha)
+    = M+1+k, that is the point mass e^-lam lam^t / t! times
+    r / (1 - lam/(t+1)): the tail bound times r.  A candidate with
+    lam_{M+1} >= s, or whose lam_{M+1} underflows to 0, has no finite bound
+    and is passed over.
     """
     if n_focus < 1:
         raise DomainError(f"n_focus must be >= 1, got {n_focus}")
@@ -159,21 +159,14 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
         raise DomainError(f"safety must lie in (0, 1), got {safety}")
     t = math.ceil(params.mean_of(2 * n_focus))
     s = t - 1.0 / params.alpha
-    log_scale = (
-        math.log(params.N) / params.alpha - math.log(params.alpha) - _log_factorial(t)
-    )
     m = 4 * n_focus
     while True:
         lam = params.mean_of(m + 1)
         if 0.0 < lam < s:
-            log_rest = (
-                log_scale
-                + s * math.log(lam)
-                - lam
-                - math.log(s - lam)
-                - math.log1p(-params.mean_of(m + 2) / (t + 1.0))
+            r = (m + 1 + params.k) * (1.0 - lam / (t + 1.0)) / (
+                params.alpha * (s - lam) * (1.0 - params.mean_of(m + 2) / (t + 1.0))
             )
-            if poisson_upper_tail_bound(lam, t) + math.exp(log_rest) <= safety:
+            if poisson_upper_tail_bound(lam, t) * (1.0 + r) <= safety:
                 return m
         m += max(1, m // 8)
         if m > _MAX_HORIZON:

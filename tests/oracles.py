@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy import stats
 
+from zipforder import ConfigurationError, DomainError, poisson_upper_tail_bound
+
 
 def poisson_pmf_array(lam: float, kmax: int) -> np.ndarray:
     """pmf of Poisson(lam) on 0..kmax via the multiplicative recurrence.
@@ -90,6 +92,43 @@ def horizon_tail_sum(params, m: int, t: int, k_max: int = 2**21) -> float:
         if rest <= 0.01 * exact or cut >= k_max:
             return exact + rest
         lo, cut = cut, 2 * cut
+
+
+def log_space_horizon(params, n_focus: int, safety: float, max_horizon: int = 2**20) -> int:
+    """``truncation_index`` with its deep-rank term summed in log space.
+
+    The same grid, level t = ceil(lambda_{2 n_focus}) and s = t - 1/alpha;
+    the ranks beyond M+1 are bounded by (N^(1/alpha) / alpha) lam^s e^-lam /
+    (t! (s - lam) (1 - lam_{M+2}/(t+1))) with lam = lam_{M+1}, added to the
+    rank-(M+1) tail bound.  Raises the same error types.
+    """
+    if n_focus < 1:
+        raise DomainError(f"n_focus must be >= 1, got {n_focus}")
+    if not (0.0 < safety < 1.0):
+        raise DomainError(f"safety must lie in (0, 1), got {safety}")
+    t = math.ceil(params.mean_of(2 * n_focus))
+    s = t - 1.0 / params.alpha
+    try:
+        log_factorial = math.lgamma(t + 1.0)
+    except OverflowError:
+        raise DomainError(f"log({float(t)}!) exceeds the float range") from None
+    log_scale = math.log(params.N) / params.alpha - math.log(params.alpha) - log_factorial
+    m = 4 * n_focus
+    while True:
+        lam = params.mean_of(m + 1)
+        if 0.0 < lam < s:
+            log_rest = (
+                log_scale
+                + s * math.log(lam)
+                - lam
+                - math.log(s - lam)
+                - math.log1p(-params.mean_of(m + 2) / (t + 1.0))
+            )
+            if poisson_upper_tail_bound(lam, t) + math.exp(log_rest) <= safety:
+                return m
+        m += max(1, m // 8)
+        if m > max_horizon:
+            raise ConfigurationError(f"no horizon up to {max_horizon} certifies {safety}")
 
 
 def brute_force_outcome(x) -> tuple[int, str, int | None, int | None]:

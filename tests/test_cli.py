@@ -281,6 +281,13 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == "zipforder: error: line 1: count exceeds the float range (about 1.8e308)\n"
 
+    def test_count_past_int_digit_limit_exit_code(self, capsys, tmp_path):
+        table = tmp_path / "digits.tsv"
+        table.write_text("a\t" + "1" * 5000 + "\nb\t5\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
+        assert (code, out) == (1, "")
+        assert err == "zipforder: error: line 1: count exceeds the float range (about 1.8e308)\n"
+
     def test_decimal_top_count_exit_code(self, capsys, tmp_path):
         table = tmp_path / "decimal.tsv"
         table.write_text("the\t100.0\nof\t50\nand\t10\n")

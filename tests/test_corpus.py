@@ -99,6 +99,15 @@ class TestLoadRankCounts:
         with pytest.raises(ParseError, match="line 2: count exceeds the float range"):
             load_rank_counts(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "rows, line", [(["a\t" + "1" * 5000, "b\t5"], 1), (["b\t5", "a\t" + "1" * 5000], 2)]
+    )
+    def test_count_past_int_digit_limit(self, rows, line):
+        """int() refuses more than 4,300 digits; the count is past the float range."""
+        with pytest.raises(ParseError, match=f"^line {line}: count exceeds the float range") as exc:
+            load_rank_counts(rows)
+        assert len(str(exc.value)) < 100
+
     def test_float_range_edge(self):
         """The largest count float() rounds to a finite value parses; the next is refused."""
         edge = 2**1024 - 2**970 - 1
@@ -250,7 +259,7 @@ class TestAnalyze:
         report = analyze(synthetic_bnc_like, alpha=alpha, window=window, alphas=alphas)
         lo, hi = report.window
         assert hi == min(window[1], len(synthetic_bnc_like))
-        scale = min(synthetic_bnc_like.count(i) * i**alpha for i in range(lo, hi + 1))
+        scale = min(synthetic_bnc_like.counts[i - 1] * i**alpha for i in range(lo, hi + 1))
         assert report.window_scale_min == scale
         assert report.n_prime == threshold_n_prime(scale, alpha).n_prime
         on_grid = [r for r in report.sensitivity.rows if r.alpha == alpha]

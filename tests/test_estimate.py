@@ -24,7 +24,7 @@ class TestRankedCounts:
     def test_basic_table(self):
         t = RankedCounts(counts=(9.0, 5.0, 3.0), labels=("a", "b", "c"))
         assert len(t) == 3
-        assert t.count(1) == 9.0
+        assert t.counts[0] == 9.0
         assert t.total == 17.0
         assert list(t.rows()) == [(1, "a", 9.0), (2, "b", 5.0), (3, "c", 3.0)]
 
@@ -73,11 +73,6 @@ class TestRankedCounts:
     def test_sum_beyond_float_range_rejected(self):
         with pytest.raises(DomainError, match="table sum exceeds the float range"):
             RankedCounts(counts=(1e308, 1e308))
-
-    @pytest.mark.parametrize("rank", [0, 3])
-    def test_count_rank_checked(self, rank):
-        with pytest.raises(DomainError, match="outside table"):
-            RankedCounts(counts=(5.0, 3.0)).count(rank)
 
 
 class TestEstimateNTotal:

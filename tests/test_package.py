@@ -1,7 +1,12 @@
-"""Package-wide contracts: the public surface and NaN rejection at every check."""
+"""Package-wide contracts: the public surface, NaN rejection at every check and
+the modules a cold import loads."""
 
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,9 @@ from zipforder import (
 )
 
 NAN = math.nan
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from ops import IMPORT_SPANS, parse_importtime  # noqa: E402
 
 
 def test_public_names_are_the_module_declarations():
@@ -78,3 +86,21 @@ _TABLE = RankedCounts(counts=(9.0, 5.0, 2.0))
 def test_nan_argument_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_import_reports_every_traced_span():
+    """A cold ``import zipforder`` imports each module the traced benchmark times.
+
+    A traced benchmark run reports its per-layer metrics only when each of
+    them has a sample, and the import spans get one only from this import.
+    The benchmark change that drops scipy for one root-finder retires this
+    test together with the spans it times.
+    """
+    path = [str(Path(zipforder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import zipforder"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    spans = {span for span, _seconds, _parent in parse_importtime(proc.stderr)}
+    assert spans == set(IMPORT_SPANS.values())

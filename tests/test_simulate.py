@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import brute_force_outcome, horizon_tail_sum, poisson_sf_extreme
+from oracles import brute_force_outcome, horizon_tail_sum, log_space_horizon, poisson_sf_extreme
 from zipforder import (
     ConfigurationError,
     DomainError,
@@ -157,6 +157,25 @@ class TestTruncationIndex:
         m = truncation_index(params, n_focus, safety)
         level = math.ceil(params.mean_of(2 * n_focus))
         assert horizon_tail_sum(params, m, level) <= safety
+
+    def test_matches_log_space_certificate(self):
+        """The tail bound times (1 + r) certifies the horizon the log-space sum does."""
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            params = EnsembleParams(
+                10.0 ** rng.uniform(-1.0, math.log10(3e18)),
+                rng.uniform(1.01, 5.0),
+                rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+            )
+            n_focus = int(10.0 ** rng.uniform(0.0, 3.0))
+            safety = 10.0 ** rng.uniform(-12.0, -1.0)
+            try:
+                expected = log_space_horizon(params, n_focus, safety)
+            except (ConfigurationError, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    truncation_index(params, n_focus, safety)
+            else:
+                assert truncation_index(params, n_focus, safety) == expected, params
 
     def test_domains(self):
         with pytest.raises(DomainError):
