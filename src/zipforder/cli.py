@@ -13,7 +13,8 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from typing import Iterable, Iterator
 
 from .bounds import (
@@ -22,14 +23,8 @@ from .bounds import (
     prefix_error_bound,
     threshold_n_prime,
 )
-from .corpus import (
-    DEFAULT_SLOPES,
-    DEFAULT_WINDOW,
-    _SE_CSV_HEADER,
-    _ZIPF_CSV_HEADER,
-    analyze,
-    load_rank_counts,
-)
+from .corpus import DEFAULT_SLOPES, DEFAULT_WINDOW, analyze, load_rank_counts
+from .corpus import _CHUNK, _point_text, _se_csv, _se_text, _zipf_csv
 from .errors import ZipfOrderError
 from .simulate import run_experiment
 
@@ -129,16 +124,6 @@ def _emit(pieces: Iterable[str], out_path: str) -> None:
 
 
 _NUMBERS = {int, float}
-_CHUNK = 1024  # numbers per C-encoder call when a report streams a long list
-
-
-@dataclass(frozen=True)
-class _Rendered:
-    """A list of numbers (depth 1) or of rows of numbers (depth 2) as the
-    slices :func:`_render` gave, held so that several outputs share them."""
-
-    slices: tuple[str, ...]
-    depth: int
 
 
 def _json(payload) -> Iterator[str]:
@@ -149,11 +134,11 @@ def _json(payload) -> Iterator[str]:
 
 def _json_value(value, nl: str) -> Iterator[str]:
     # ``nl`` is a newline and the indent of the line ``value`` starts on.
-    # Lists of numbers, and lists of rows of numbers, go through the C
-    # encoder a slice at a time, unless they come rendered already.
+    # Lists of numbers, and lists of rows of numbers, go through the C encoder
+    # a slice at a time; a partial of _indented is a list rendered already.
     inner = nl + "  "
-    if isinstance(value, _Rendered):
-        yield from _indented(value.slices, value.depth, nl)
+    if callable(value):
+        yield from value(nl)
     elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
         sep = "{" + inner
         for key, item in value.items():
@@ -192,7 +177,7 @@ def _render(items, depth: int) -> Iterator[str]:
 
 
 def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:
-    """The ``indent=2`` text of the list whose slices :func:`_render` gave.
+    """The ``indent=2`` text of a list from its compact slices, cut as :func:`_render` cuts.
 
     The compact separators are replaced, the outermost first, since the
     text of a number never holds ", " or "], ["; the first replacement's
@@ -220,27 +205,6 @@ def _csv(header: str, rows) -> Iterator[str]:
     yield header + "\n"
     for row in rows:
         yield ",".join(map(repr, row)) + "\n"
-
-
-# Every analyze value is finite: counts are finite and >= 0, so are their
-# logs, and (a - b) / sqrt(a + b) is 0 where a + b overflows.  The JSON text
-# of a finite int or float is its repr, so these are the bytes that
-# write_zipf_csv and write_se_csv write.
-def _zipf_csv(points: _Rendered) -> Iterator[str]:
-    """The plot CSV, cut from the rendered point rows."""
-    yield _ZIPF_CSV_HEADER
-    for text in points.slices:
-        yield text.replace("], [", "\n").replace(", ", ",") + "\n"
-
-
-def _se_csv(se: _Rendered) -> Iterator[str]:
-    """The SE CSV, cut from the rendered values and numbered from 1."""
-    yield _SE_CSV_HEADER
-    done = 0
-    for text in se.slices:
-        values = text.split(", ")
-        yield "".join([f"{i},{v}\n" for i, v in enumerate(values, start=done + 1)])
-        done += len(values)
 
 
 def _record(payload: dict, fmt: str) -> Iterator[str]:
@@ -319,20 +283,23 @@ def _cmd_analyze(args) -> Iterable[str]:
         slopes=tuple(args.slopes),
     )
     # Each long column is rendered once; the JSON and both CSVs share the text.
-    se = _Rendered(tuple(_render(report.adjacent_se, 1)), 1)
-    points = _Rendered(tuple(_render(report.zipf_points.points, 2)), 2)
+    # Every analyze value is finite (counts are finite and >= 0, so are their
+    # logs, and (a - b) / sqrt(a + b) is 0 where a + b overflows), and the
+    # JSON text of a finite number is its repr, which the renderers write.
+    se = tuple(_se_text(report.adjacent_se))
+    points = tuple(_point_text(report.zipf_points))
     if args.zipf_csv:
         with open(args.zipf_csv, "w", encoding="utf-8") as fh:
             fh.writelines(_zipf_csv(points))
     if args.se_csv:
         with open(args.se_csv, "w", encoding="utf-8") as fh:
             fh.writelines(_se_csv(se))
-    # to_dict copies the long columns into lists; emptied first, it copies no row
+    # to_dict builds the long columns as lists; emptied first, it builds no row
     payload = replace(
-        report, adjacent_se=(), zipf_points=replace(report.zipf_points, points=())
+        report, adjacent_se=(), zipf_points=replace(report.zipf_points, ln_counts=())
     ).to_dict()
-    payload["adjacent_se"] = se
-    payload["zipf_points"]["points"] = points
+    payload["adjacent_se"] = partial(_indented, se, 1)
+    payload["zipf_points"]["points"] = partial(_indented, points, 2)
     return _json(payload)
 
 

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .bounds import EnsembleParams, pick_n
 from .errors import DomainError, ParseError
@@ -49,9 +49,7 @@ _PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not rais
 # the largest int that float() rounds to a finite value: 2^1024 - 2^970 and
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
-# header lines of the CSV writers, which the CLI's writers share
-_ZIPF_CSV_HEADER = "i,ln_rank,ln_count\n"
-_SE_CSV_HEADER = "i,se\n"
+_CHUNK = 1024  # rows per slice when a long column is rendered to text
 
 
 @dataclass(frozen=True)
@@ -69,11 +67,17 @@ class ReferenceLine:
 
 @dataclass(frozen=True)
 class ZipfPlotData:
-    """Log-log rank/count points plus two reference lines bracketing them."""
+    """Log-log rank/count points, one column, plus two reference lines bracketing them."""
 
-    points: tuple[tuple[int, float, float], ...]  # (rank, ln rank, ln count)
+    ln_counts: tuple[float, ...]  # ln X_i of ranks i = 1, 2, ... up to the first zero count
     skipped_ranks: tuple[int, ...]  # zero counts have no log point
     lines: tuple[ReferenceLine, ReferenceLine]
+
+    @property
+    def points(self) -> tuple[tuple[int, float, float], ...]:
+        """The (rank, ln rank, ln count) rows, built on each call."""
+        ranks = range(1, len(self.ln_counts) + 1)
+        return tuple(zip(ranks, map(math.log, ranks), self.ln_counts))
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,8 @@ class AnalysisReport:
             "pick_n_cap_reached": self.pick_n_cap_reached,
             "adjacent_se": list(self.adjacent_se),
             "zipf_points": {
-                "points": [list(p) for p in self.zipf_points.points],
+                "points": [[i, math.log(i), y]
+                           for i, y in enumerate(self.zipf_points.ln_counts, start=1)],
                 "skipped_ranks": list(self.zipf_points.skipped_ranks),
                 "lines": [
                     {"slope": ln.slope, "intercept": ln.intercept}
@@ -137,7 +142,7 @@ def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> lis
     try:
         data = source.read() if hasattr(source, "read") else source
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            return data.decode("utf-8").splitlines()
         if isinstance(data, str):
             data.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
             return data.splitlines()
@@ -191,10 +196,11 @@ def load_rank_counts(
         try:
             count = int(count_field)
         except ValueError:
-            if count_field.isascii() and count_field.isdigit():
+            digits = count_field[1:] if count_field[:1] in ("+", "-") else count_field
+            if digits.isascii() and digits.isdigit():
                 # int() refuses digit strings past its limit (4,300 digits by
                 # default, 640 at least), and all of them are past 1.8e308
-                count = math.inf
+                count = -math.inf if count_field[0] == "-" else math.inf
             elif not (counts or header_skipped or _is_number(count_field)):
                 header_skipped = True  # a single leading header row is allowed
                 continue
@@ -248,14 +254,13 @@ def zipf_plot_data(
     if not all(map(math.isfinite, slopes)):
         raise DomainError(f"reference line slopes must be finite, got {slopes}")
     plotted = bisect.bisect_left(c, 0.0, key=operator.neg)  # zero counts are a suffix
-    ranks = range(1, plotted + 1)
     top = math.log(c[0])
     lines = (
         ReferenceLine(slope=slopes[0], intercept=top + _ANCHOR_OFFSET),
         ReferenceLine(slope=slopes[1], intercept=top - _ANCHOR_OFFSET),
     )
-    points = tuple(zip(ranks, map(math.log, ranks), map(math.log, c[:plotted])))
-    return ZipfPlotData(points, tuple(range(plotted + 1, len(c) + 1)), lines)
+    ln_counts = tuple(map(math.log, c[:plotted]))
+    return ZipfPlotData(ln_counts, tuple(range(plotted + 1, len(c) + 1)), lines)
 
 
 def _default_alpha_grid(alpha: float) -> tuple[float, ...]:
@@ -317,15 +322,43 @@ def analyze(
     )
 
 
+# The renderers write the repr of each number, a _CHUNK slice at a time, as
+# the slice's compact JSON text with its outer brackets cut.
+def _point_text(plot: ZipfPlotData) -> Iterator[str]:
+    """The plot rows as ``1, 0.0, 4.6], [2, 0.69..., 4.1...``, slice by slice."""
+    for start in range(0, len(plot.ln_counts), _CHUNK):
+        rows = enumerate(plot.ln_counts[start:start + _CHUNK], start=start + 1)
+        yield "], [".join([f"{i}, {math.log(i)!r}, {y!r}" for i, y in rows])
+
+
+def _se_text(se: Sequence[float]) -> Iterator[str]:
+    """The values as ``1.5, -0.25``, slice by slice."""
+    for start in range(0, len(se), _CHUNK):
+        yield ", ".join(map(repr, se[start:start + _CHUNK]))
+
+
+def _zipf_csv(slices: Iterable[str]) -> Iterator[str]:
+    """The plot CSV, cut from the slices of :func:`_point_text`."""
+    yield "i,ln_rank,ln_count\n"
+    for text in slices:
+        yield text.replace("], [", "\n").replace(", ", ",") + "\n"
+
+
+def _se_csv(slices: Iterable[str]) -> Iterator[str]:
+    """The SE CSV, cut from the slices of :func:`_se_text` and numbered from 1."""
+    yield "i,se\n"
+    done = 0
+    for text in slices:
+        values = text.split(", ")
+        yield "".join([f"{i},{v}\n" for i, v in enumerate(values, start=done + 1)])
+        done += len(values)
+
+
 def write_zipf_csv(plot: ZipfPlotData, out: IO[str]) -> None:
     """Emit the log-log points as CSV with header i,ln_rank,ln_count."""
-    out.write(_ZIPF_CSV_HEADER)
-    for i, ln_rank, ln_count in plot.points:
-        out.write(f"{i},{ln_rank!r},{ln_count!r}\n")
+    out.writelines(_zipf_csv(_point_text(plot)))
 
 
 def write_se_csv(se: Sequence[float], out: IO[str]) -> None:
     """Emit the adjacent standard errors as CSV with header i,se."""
-    out.write(_SE_CSV_HEADER)
-    for i, value in enumerate(se, start=1):
-        out.write(f"{i},{value!r}\n")
+    out.writelines(_se_csv(_se_text(se)))

@@ -165,3 +165,17 @@ def wilson_upper(successes: int, trials: int, z: float = 2.576) -> float:
     centre = phat + z * z / (2 * trials)
     spread = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
     return (centre + spread) / denom
+
+
+def write_zipf_csv_per_row(plot, out) -> None:
+    """The plot CSV one row at a time: rank i, then the reprs of ln i and ln X_i."""
+    out.write("i,ln_rank,ln_count\n")
+    for i, ln_count in enumerate(plot.ln_counts, start=1):
+        out.write(f"{i},{math.log(i)!r},{ln_count!r}\n")
+
+
+def write_se_csv_per_row(se, out) -> None:
+    """The SE CSV one row at a time: the index from 1, then the value's repr."""
+    out.write("i,se\n")
+    for i, value in enumerate(se, start=1):
+        out.write(f"{i},{value!r}\n")

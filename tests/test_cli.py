@@ -23,6 +23,7 @@ from zipforder import (
     write_zipf_csv,
 )
 from zipforder.cli import main
+from zipforder.corpus import _point_text, _se_text
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
 
@@ -287,6 +288,18 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
         assert (code, out) == (1, "")
         assert err == "zipforder: error: line 1: count exceeds the float range (about 1.8e308)\n"
+
+    @pytest.mark.parametrize(
+        "sign, message",
+        [("-", "count must be >= 0, got -inf"),
+         ("+", "count exceeds the float range (about 1.8e308)")],
+    )
+    def test_signed_count_past_int_digit_limit_exit_code(self, capsys, tmp_path, sign, message):
+        table = tmp_path / "digits.tsv"
+        table.write_text("a\t9\nb\t" + sign + "1" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(table), "--alpha", "1.1")
+        assert (code, out) == (1, "")
+        assert err == f"zipforder: error: line 2: {message}\n"
 
     def test_decimal_top_count_exit_code(self, capsys, tmp_path):
         table = tmp_path / "decimal.tsv"
@@ -609,8 +622,8 @@ def test_analyze_payload_copies_no_rows(monkeypatch):
     monkeypatch.setattr(cli, "load_rank_counts", lambda *a, **k: counts)
     monkeypatch.setattr(cli, "analyze", lambda *a, **k: report)
     args = cli._build_parser().parse_args(["analyze", "--input", "-", "--alpha", "1.106"])
-    text = sum(map(len, cli._render(report.adjacent_se, 1))) + sum(
-        map(len, cli._render(report.zipf_points.points, 2)))
+    text = sum(map(len, _se_text(report.adjacent_se))) + sum(
+        map(len, _point_text(report.zipf_points)))
     tracemalloc.start()
     try:
         pieces = args.handler(args)

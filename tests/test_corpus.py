@@ -3,15 +3,18 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import BNC_TOTAL, make_zipf_table
+from oracles import write_se_csv_per_row, write_zipf_csv_per_row
 from zipforder import (
     DomainError,
     ParseError,
     RankedCounts,
+    ZipfPlotData,
     adjacent_se,
     analyze,
     load_rank_counts,
@@ -20,6 +23,7 @@ from zipforder import (
     write_zipf_csv,
     zipf_plot_data,
 )
+from zipforder.corpus import _CHUNK
 
 
 class TestLoadRankCounts:
@@ -105,6 +109,17 @@ class TestLoadRankCounts:
     def test_count_past_int_digit_limit(self, rows, line):
         """int() refuses more than 4,300 digits; the count is past the float range."""
         with pytest.raises(ParseError, match=f"^line {line}: count exceeds the float range") as exc:
+            load_rank_counts(rows)
+        assert len(str(exc.value)) < 100
+
+    @pytest.mark.parametrize("line", [1, 2])
+    @pytest.mark.parametrize(
+        "sign, message", [("-", "count must be >= 0"), ("+", "count exceeds the float range")]
+    )
+    def test_signed_count_past_int_digit_limit(self, sign, message, line):
+        """A sign before digits int() refuses is read as the sign of a count past 1.8e308."""
+        rows = ["b\t5", "a\t" + sign + "1" * 5000][::1 if line == 2 else -1]
+        with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
             load_rank_counts(rows)
         assert len(str(exc.value)) < 100
 
@@ -296,6 +311,21 @@ class TestAnalyze:
         assert payload["pick_n_result"] == report.pick_n_result
         assert len(payload["zipf_points"]["points"]) == 10
 
+    def test_report_holds_no_row_tuples(self):
+        """Beyond the table, a 10^5-row report holds its two long columns (a
+        tuple slot and a float per row each) and no (rank, ln rank, ln count)
+        tuple per row, which alone would take about 150 bytes."""
+        n = 100_000
+        counts = RankedCounts(counts=tuple(float(2 * n - i) for i in range(n)))
+        tracemalloc.start()
+        try:
+            report = analyze(counts, alpha=1.106, window=(1, 10))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.zipf_points.points) == n
+        assert held < 80 * n
+
     def test_window_outside_table_rejected(self):
         table = RankedCounts(counts=(9.0, 5.0))
         with pytest.raises(DomainError, match="window"):
@@ -316,3 +346,35 @@ class TestCsvWriters:
         buf = io.StringIO()
         write_se_csv((1.5, -0.25), buf)
         assert buf.getvalue() == "i,se\n1,1.5\n2,-0.25\n"
+
+    def test_se_csv_writes_repr_of_non_finite(self):
+        buf = io.StringIO()
+        write_se_csv((math.nan, -math.inf, -0.0), buf)
+        assert buf.getvalue() == "i,se\n1,nan\n2,-inf\n3,-0.0\n"
+
+    @pytest.mark.parametrize("length", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5])
+    def test_writers_match_per_row_reference(self, length):
+        """The slice-cutting writers write the bytes of the per-row loops."""
+        rng = np.random.default_rng(length)
+        # positive counts from 1 to 10^308 (ln counts 0.0 to ~709), then zeros;
+        # below the top, at most 10^300, so the table sum stays finite
+        if length:
+            positive = sorted(10.0 ** rng.uniform(0.0, 300.0, size=length), reverse=True)
+            positive[0], positive[-1] = 1e308, 1.0
+            zeros = (0.0,) * int(rng.integers(0, 4))
+            plot = zipf_plot_data(RankedCounts(counts=tuple(map(float, positive)) + zeros))
+        else:
+            plot = ZipfPlotData((), (), zipf_plot_data(RankedCounts(counts=(1.0,))).lines)
+        assert len(plot.ln_counts) == length
+        se = list(rng.normal(size=length) * 10.0 ** rng.uniform(-300.0, 300.0, size=length))
+        for value in (math.nan, math.inf, -math.inf, -0.0, 0.0)[:length]:
+            se[int(rng.integers(0, length))] = value
+        se = tuple(map(float, se))
+        for write, reference, data in (
+            (write_zipf_csv, write_zipf_csv_per_row, plot),
+            (write_se_csv, write_se_csv_per_row, se),
+        ):
+            got, want = io.StringIO(), io.StringIO()
+            write(data, got)
+            reference(data, want)
+            assert got.getvalue() == want.getvalue()
