@@ -190,6 +190,11 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
     n_max means the cap stopped the scan, and a larger prefix might still
     qualify; callers report that as a field.
     """
+    return _pick_n_and_sum(params, epsilon, n_max)[0]
+
+
+def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple[int, float]:
+    """:func:`pick_n`'s n and its prefix's ``prefix_error_bound`` sum, bit for bit."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n_max < 1:
@@ -205,10 +210,11 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
         running += terms[-1]
         if running > epsilon and math.fsum(terms) > epsilon:
             break
-    best = len(terms) + 1
-    while best > 1 and math.fsum(terms[: best - 1]) > epsilon:
-        best -= 1
-    return best
+    total = math.fsum(terms)
+    while total > epsilon:  # the empty sum, 0, ends this
+        terms.pop()
+        total = math.fsum(terms)
+    return len(terms) + 1, total
 
 
 def threshold_A(alpha: float) -> float:

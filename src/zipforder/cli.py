@@ -10,21 +10,15 @@ included) or unreadable input, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import replace
 from functools import partial
 from typing import Iterable, Iterator
 
-from .bounds import (
-    EnsembleParams,
-    pick_n,
-    prefix_error_bound,
-    threshold_n_prime,
-)
+from .bounds import EnsembleParams, _pick_n_and_sum, prefix_error_bound, threshold_n_prime
 from .corpus import DEFAULT_SLOPES, DEFAULT_WINDOW, analyze, load_rank_counts
-from .corpus import _CHUNK, _point_text, _se_csv, _se_text, _zipf_csv
+from .corpus import _column_text, _indented, _numbered_csv, _point_text, _zipf_csv
 from .errors import ZipfOrderError
 from .simulate import run_experiment
 
@@ -123,9 +117,6 @@ def _emit(pieces: Iterable[str], out_path: str) -> None:
             fh.writelines(pieces)
 
 
-_NUMBERS = {int, float}
-
-
 def _json(payload) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces."""
     yield from _json_value(payload, "\n")
@@ -133,71 +124,27 @@ def _json(payload) -> Iterator[str]:
 
 
 def _json_value(value, nl: str) -> Iterator[str]:
-    # ``nl`` is a newline and the indent of the line ``value`` starts on.
-    # Lists of numbers, and lists of rows of numbers, go through the C encoder
-    # a slice at a time; a partial of _indented is a list rendered already.
+    # ``nl`` is a newline and the indent of the line ``value`` starts on.  A
+    # long column comes rendered already, as a partial of corpus._indented.
     inner = nl + "  "
     if callable(value):
         yield from value(nl)
-    elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
+    elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
-            yield sep + json.dumps(key) + ": "
+            yield sep + json.dumps({key: 0})[1:-4] + ": "  # keys as json.dumps writes them
             yield from _json_value(item, inner)
             sep = "," + inner
         yield nl + "}"
     elif isinstance(value, (list, tuple)) and value:
-        kinds = set(map(type, value))
-        if kinds <= _NUMBERS:
-            yield from _indented(_render(value, 1), 1, nl)
-        elif (kinds <= {list, tuple} and all(value)
-              and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS):
-            yield from _indented(_render(value, 2), 2, nl)
-        else:
-            sep = "[" + inner
-            for item in value:
-                yield sep
-                yield from _json_value(item, inner)
-                sep = "," + inner
-            yield nl + "]"
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _json_value(item, inner)
+            sep = "," + inner
+        yield nl + "]"
     else:
-        yield json.dumps(value, indent=2).replace("\n", nl)
-
-
-def _render(items, depth: int) -> Iterator[str]:
-    """The compact C-encoder text of ``items``, one slice of them at a time.
-
-    ``depth`` brackets are cut from each end of a slice's text, so a slice
-    of numbers reads ``1, 2.5`` and a slice of rows ``1, 2.5], [2, 0.5``.
-    Numbers and rows of them cannot hold themselves, so the encoder's
-    cycle check, a dict insert and delete per row, is skipped.
-    """
-    for start in range(0, len(items), _CHUNK):
-        yield json.dumps(items[start:start + _CHUNK], check_circular=False)[depth:-depth]
-
-
-def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:
-    """The ``indent=2`` text of a list from its compact slices, cut as :func:`_render` cuts.
-
-    The compact separators are replaced, the outermost first, since the
-    text of a number never holds ", " or "], ["; the first replacement's
-    new text also joins the slices.  No slices is the empty list.
-    """
-    inner = nl + "  "
-    if depth == 1:
-        head, tail = "[" + inner, nl + "]"
-        replacements = ((", ", "," + inner),)
-    else:
-        row = inner + "  "
-        head, tail = "[" + inner + "[" + row, inner + "]" + nl + "]"
-        replacements = (("], [", inner + "]," + inner + "[" + row), (", ", "," + row))
-    sep = head
-    for text in slices:
-        for old, new in replacements:
-            text = text.replace(old, new)
-        yield sep + text
-        sep = replacements[0][1]
-    yield "[]" if sep is head else tail
+        yield json.dumps(value)  # a scalar, or an empty list or dict
 
 
 def _csv(header: str, rows) -> Iterator[str]:
@@ -229,15 +176,18 @@ def _cmd_threshold(args) -> Iterable[str]:
 
 def _cmd_bound(args) -> Iterable[str]:
     report = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha, args.k))
+    # every term is exp(-x) with x >= 0 or x = inf, so finite, and its repr is
+    # its JSON text; the slices are made lazily, while the report is written
+    terms = _column_text(report.per_pair_terms)
     if args.format == "csv":
-        return _csv("i,term", enumerate(report.per_pair_terms, start=1))
+        return _numbered_csv("i,term", terms)
     return _json(
         {
             "n": report.n,
             "N": args.N,
             "alpha": args.alpha,
             "k": args.k,
-            "per_pair_terms": report.per_pair_terms,
+            "per_pair_terms": partial(_indented, terms, 1),
             "bonferroni_sum": report.bonferroni_sum,
             "clamped_probability": report.clamped_probability,
         }
@@ -246,13 +196,13 @@ def _cmd_bound(args) -> Iterable[str]:
 
 def _cmd_pick_n(args) -> Iterable[str]:
     params = EnsembleParams(args.N, args.alpha, args.k)
-    n = pick_n(params, args.epsilon, args.n_max)
+    n, bonferroni_sum = _pick_n_and_sum(params, args.epsilon, args.n_max)
     payload = {
         "n": n,
         "epsilon": args.epsilon,
         "n_max": args.n_max,
         "cap_reached": n == args.n_max,
-        "bonferroni_sum": prefix_error_bound(n, params).bonferroni_sum,
+        "bonferroni_sum": bonferroni_sum,
     }
     return _record(payload, args.format)
 
@@ -286,20 +236,23 @@ def _cmd_analyze(args) -> Iterable[str]:
     # Every analyze value is finite (counts are finite and >= 0, so are their
     # logs, and (a - b) / sqrt(a + b) is 0 where a + b overflows), and the
     # JSON text of a finite number is its repr, which the renderers write.
-    se = tuple(_se_text(report.adjacent_se))
+    se = tuple(_column_text(report.adjacent_se))
     points = tuple(_point_text(report.zipf_points))
     if args.zipf_csv:
         with open(args.zipf_csv, "w", encoding="utf-8") as fh:
             fh.writelines(_zipf_csv(points))
     if args.se_csv:
         with open(args.se_csv, "w", encoding="utf-8") as fh:
-            fh.writelines(_se_csv(se))
+            fh.writelines(_numbered_csv("i,se", se))
     # to_dict builds the long columns as lists; emptied first, it builds no row
+    plot = report.zipf_points
     payload = replace(
-        report, adjacent_se=(), zipf_points=replace(report.zipf_points, ln_counts=())
+        report, adjacent_se=(), zipf_points=replace(plot, ln_counts=(), skipped_ranks=range(0))
     ).to_dict()
     payload["adjacent_se"] = partial(_indented, se, 1)
     payload["zipf_points"]["points"] = partial(_indented, points, 2)
+    payload["zipf_points"]["skipped_ranks"] = partial(
+        _indented, _column_text(plot.skipped_ranks), 1)
     return _json(payload)
 
 

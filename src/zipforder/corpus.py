@@ -70,7 +70,7 @@ class ZipfPlotData:
     """Log-log rank/count points, one column, plus two reference lines bracketing them."""
 
     ln_counts: tuple[float, ...]  # ln X_i of ranks i = 1, 2, ... up to the first zero count
-    skipped_ranks: tuple[int, ...]  # zero counts have no log point
+    skipped_ranks: range  # the ranks of the zero counts, which have no log point
     lines: tuple[ReferenceLine, ReferenceLine]
 
     @property
@@ -246,7 +246,8 @@ def zipf_plot_data(
     The lines pass through (0, ln X_1 + 0.5) and (0, ln X_1 - 0.5), ln X_1
     being the largest log count; 0.5 is a presentation offset, and the
     slopes must be finite.
-    Zero counts cannot be plotted on a log scale and are reported as skipped.
+    Zero counts cannot be plotted on a log scale; their ranks, one run at the
+    end of the table, are reported as the range ``skipped_ranks``.
     """
     c = counts.counts
     if c[0] <= 0.0:
@@ -260,7 +261,7 @@ def zipf_plot_data(
         ReferenceLine(slope=slopes[1], intercept=top - _ANCHOR_OFFSET),
     )
     ln_counts = tuple(map(math.log, c[:plotted]))
-    return ZipfPlotData(ln_counts, tuple(range(plotted + 1, len(c) + 1)), lines)
+    return ZipfPlotData(ln_counts, range(plotted + 1, len(c) + 1), lines)
 
 
 def _default_alpha_grid(alpha: float) -> tuple[float, ...]:
@@ -322,8 +323,10 @@ def analyze(
     )
 
 
-# The renderers write the repr of each number, a _CHUNK slice at a time, as
-# the slice's compact JSON text with its outer brackets cut.
+# The renderers are the one path from a long column to text.  They write the
+# repr of each value, a _CHUNK slice at a time, as the slice's compact JSON
+# text with its outer brackets cut; the JSON text of a finite number is its
+# repr, so a column bound for JSON holds no nan or infinity.
 def _point_text(plot: ZipfPlotData) -> Iterator[str]:
     """The plot rows as ``1, 0.0, 4.6], [2, 0.69..., 4.1...``, slice by slice."""
     for start in range(0, len(plot.ln_counts), _CHUNK):
@@ -331,10 +334,36 @@ def _point_text(plot: ZipfPlotData) -> Iterator[str]:
         yield "], [".join([f"{i}, {math.log(i)!r}, {y!r}" for i, y in rows])
 
 
-def _se_text(se: Sequence[float]) -> Iterator[str]:
+def _column_text(values: Sequence[float]) -> Iterator[str]:
     """The values as ``1.5, -0.25``, slice by slice."""
-    for start in range(0, len(se), _CHUNK):
-        yield ", ".join(map(repr, se[start:start + _CHUNK]))
+    for start in range(0, len(values), _CHUNK):
+        yield ", ".join(map(repr, values[start:start + _CHUNK]))
+
+
+def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:
+    """The ``indent=2`` text of a column from the slices of :func:`_column_text`
+    (``depth`` 1) or :func:`_point_text` (``depth`` 2).
+
+    ``nl`` is a newline and the indent of the line the column starts on.
+    The compact separators are replaced, the outermost first, since the text
+    of a number never holds ", " or "], ["; the first replacement's new text
+    also joins the slices.  No slices is the empty list.
+    """
+    inner = nl + "  "
+    if depth == 1:
+        head, tail = "[" + inner, nl + "]"
+        replacements = ((", ", "," + inner),)
+    else:
+        row = inner + "  "
+        head, tail = "[" + inner + "[" + row, inner + "]" + nl + "]"
+        replacements = (("], [", inner + "]," + inner + "[" + row), (", ", "," + row))
+    sep = head
+    for text in slices:
+        for old, new in replacements:
+            text = text.replace(old, new)
+        yield sep + text
+        sep = replacements[0][1]
+    yield "[]" if sep is head else tail
 
 
 def _zipf_csv(slices: Iterable[str]) -> Iterator[str]:
@@ -344,9 +373,9 @@ def _zipf_csv(slices: Iterable[str]) -> Iterator[str]:
         yield text.replace("], [", "\n").replace(", ", ",") + "\n"
 
 
-def _se_csv(slices: Iterable[str]) -> Iterator[str]:
-    """The SE CSV, cut from the slices of :func:`_se_text` and numbered from 1."""
-    yield "i,se\n"
+def _numbered_csv(header: str, slices: Iterable[str]) -> Iterator[str]:
+    """A CSV of ``i,value`` rows, cut from the slices of :func:`_column_text` and numbered from 1."""
+    yield header + "\n"
     done = 0
     for text in slices:
         values = text.split(", ")
@@ -361,4 +390,4 @@ def write_zipf_csv(plot: ZipfPlotData, out: IO[str]) -> None:
 
 def write_se_csv(se: Sequence[float], out: IO[str]) -> None:
     """Emit the adjacent standard errors as CSV with header i,se."""
-    out.writelines(_se_csv(_se_text(se)))
+    out.writelines(_numbered_csv("i,se", _column_text(se)))

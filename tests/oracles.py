@@ -179,3 +179,10 @@ def write_se_csv_per_row(se, out) -> None:
     out.write("i,se\n")
     for i, value in enumerate(se, start=1):
         out.write(f"{i},{value!r}\n")
+
+
+def write_bound_csv_per_row(terms, out) -> None:
+    """The bound CSV one row at a time: the pair index from 1, then the term's repr."""
+    out.write("i,term\n")
+    for i, term in enumerate(terms, start=1):
+        out.write(f"{i},{term!r}\n")

@@ -7,23 +7,30 @@ import json
 import math
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import write_bound_csv_per_row
 from zipforder import (
+    EnsembleParams,
     RankedCounts,
+    ReferenceLine,
     ZipfOrderError,
+    ZipfPlotData,
     analyze,
     cli,
+    corpus,
     load_rank_counts,
+    prefix_error_bound,
     write_se_csv,
     write_zipf_csv,
 )
 from zipforder.cli import main
-from zipforder.corpus import _point_text, _se_text
+from zipforder.corpus import _CHUNK, _column_text, _point_text
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
 
@@ -109,6 +116,57 @@ class TestBound:
             indent=2,
         ) + "\n"
 
+    @pytest.mark.parametrize(
+        "n, N, k, lo, hi",
+        [
+            (1, 1e7, 0.0, 0.0, 1.0),
+            (2, 1e7, 0.0, 0.0, 1.0),
+            (_CHUNK, 1e7, 0.0, 0.0, 1.0),
+            (_CHUNK + 1, 1e7, 0.0, 0.0, 1.0),
+            (2 * _CHUNK + 5, 1e7, 0.0, 0.0, 1.0),
+            (2 * _CHUNK + 5, 1e7, 2.5, 0.0, 1.0),
+            (2 * _CHUNK + 5, 1e300, 0.0, 0.0, 0.0),  # every term underflows
+            (2 * _CHUNK + 5, 1e-3, 0.0, 0.99, 1.0),  # every term is near 1
+        ],
+        ids=["n1", "n2", "chunk", "chunk+1", "2chunk+5", "k", "N1e300", "N1e-3"],
+    )
+    def test_bytes_match_per_term_references(self, capsys, n, N, k, lo, hi):
+        """The JSON is json.dumps(indent=2) of the report and the CSV its per-row loop."""
+        report = prefix_error_bound(n, EnsembleParams(N, 1.106, k))
+        terms = report.per_pair_terms
+        assert len(terms) == n - 1 and all(lo <= t <= hi for t in terms)
+        argv = ("bound", "--N", repr(N), "--alpha", "1.106", "--k", repr(k), "--n", str(n))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(
+            {"n": n, "N": N, "alpha": 1.106, "k": k, "per_pair_terms": list(terms),
+             "bonferroni_sum": report.bonferroni_sum,
+             "clamped_probability": report.clamped_probability},
+            indent=2,
+        ) + "\n"
+        want = io.StringIO()
+        write_bound_csv_per_row(terms, want)
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, want.getvalue(), "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_emit_holds_no_whole_column(self, tmp_path, fmt):
+        """bound --n 100000 is written a slice of its terms at a time."""
+        argv = ["bound", "--N", "1e7", "--alpha", "1.106", "--n", "100000", "--format", fmt]
+        args = cli._build_parser().parse_args(argv)
+        terms = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha)).per_pair_terms
+        text = sum(map(len, _column_text(terms)))
+        pieces = args.handler(args)
+        target = tmp_path / f"bound.{fmt}"
+        tracemalloc.start()
+        try:
+            cli._emit(pieces, str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text > 1_500_000
+        assert target.stat().st_size > text
+        assert peak < text // 4
+
 
 class TestPickN:
     def test_default_epsilon(self, capsys):
@@ -136,6 +194,21 @@ class TestPickN:
         header, row = out.splitlines()
         assert header == "n,epsilon,n_max,cap_reached,bonferroni_sum"
         assert row.split(",")[:4] == ["69", "0.01", "100000", "False"]
+
+    @pytest.mark.parametrize(
+        "N, n_max, n",
+        [(10.0, 100_000, 1), (1e7, 10, 10), (1e12, 100_000, 2461)],
+        ids=["n1", "cap", "N1e12"],
+    )
+    def test_sum_is_prefix_error_bound(self, capsys, N, n_max, n):
+        """The reported sum is the one prefix_error_bound gives for the picked n, bit for bit."""
+        code, out, _ = run_cli(
+            capsys, "pick-n", "--N", repr(N), "--alpha", "1.106", "--n-max", str(n_max)
+        )
+        payload = json.loads(out)
+        assert (code, payload["n"]) == (0, n)
+        expected = prefix_error_bound(n, EnsembleParams(N, 1.106)).bonferroni_sum
+        assert payload["bonferroni_sum"] == expected
 
 
 class TestSimulate:
@@ -425,7 +498,7 @@ class TestHelp:
 
 
 # Payloads mix every JSON-encodable kind a report could hold, including the
-# separators the streamed encoder rewrites, inside strings.
+# separators the column renderers write, inside strings.
 _SCALARS = (
     st.integers(-(10**30), 10**30)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -437,11 +510,45 @@ _SCALARS = (
 )
 _KEYS = st.text() | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
 _NUMBERS = st.integers(-(10**30), 10**30) | st.floats()
+_FINITE = st.integers(-(10**30), 10**30) | st.floats(allow_nan=False, allow_infinity=False)
+_LINES = (ReferenceLine(-1.0, 0.5), ReferenceLine(-1.1, -0.5))
+
+
+class _Column:
+    """A long column in a payload: the list json.dumps sees, and its renderer."""
+
+    def __init__(self, values, depth, render):
+        self.values, self.depth, self.render = values, depth, render
+
+    @classmethod
+    def of_numbers(cls, values):
+        return cls(values, 1, partial(_column_text, values))
+
+    @classmethod
+    def of_points(cls, ln_counts):
+        plot = ZipfPlotData(tuple(ln_counts), range(0), _LINES)
+        return cls([list(row) for row in plot.points], 2, partial(_point_text, plot))
+
+
+def _leaves(payload, column):
+    """The payload with each _Column leaf replaced by ``column(leaf)``."""
+    if isinstance(payload, _Column):
+        return column(payload)
+    if isinstance(payload, dict):
+        return {key: _leaves(item, column) for key, item in payload.items()}
+    if isinstance(payload, (list, tuple)):  # tuples stay tuples for cli._json
+        return type(payload)(_leaves(item, column) for item in payload)
+    return payload
+
+
 _PAYLOADS = st.recursive(
     _SCALARS
     | st.lists(_NUMBERS)
     | st.lists(st.lists(_NUMBERS, max_size=4), max_size=6)
-    | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple), max_size=6),
+    | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple), max_size=6)
+    | st.lists(_FINITE).map(_Column.of_numbers)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(
+        _Column.of_points),
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | st.dictionaries(st.text(max_size=6), inner, max_size=5)
@@ -450,28 +557,40 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _plain(payload):
+    """The payload as json.dumps sees it: each column a list."""
+    return _leaves(payload, lambda c: list(c.values))
+
+
+def _pieces(payload) -> list[str]:
+    """The pieces cli._json writes for a payload whose columns come pre-rendered."""
+    return list(cli._json(
+        _leaves(payload, lambda c: partial(corpus._indented, c.render(), c.depth))))
+
+
 class TestStreamedJson:
     """Reports are written in pieces whose text is json.dumps(indent=2), byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(_PAYLOADS)
     def test_matches_json_dumps(self, payload):
-        expected = json.dumps(payload, indent=2) + "\n"
+        expected = json.dumps(_plain(payload), indent=2) + "\n"
         with pytest.MonkeyPatch.context() as mp:
-            for chunk in (1, 2, cli._CHUNK):  # small slices split short lists too
-                mp.setattr(cli, "_CHUNK", chunk)
-                assert "".join(cli._json(payload)) == expected
+            for chunk in (1, 2, corpus._CHUNK):  # small slices split short columns too
+                mp.setattr(corpus, "_CHUNK", chunk)
+                assert "".join(_pieces(payload)) == expected
 
     def test_lists_longer_than_two_slices(self):
-        n = 2 * cli._CHUNK + 7
+        n = 2 * corpus._CHUNK + 7
         payload = {
-            "flat": [i * 0.5 if i % 3 else -i for i in range(n)] + [math.nan, -0.0],
-            "rows": [(i, math.log(i), -math.inf) for i in range(1, n)],
-            "ints": list(range(10**29, 10**29 + n)),
+            "flat": _Column.of_numbers([i * 0.5 if i % 3 else -i for i in range(n)] + [-0.0]),
+            "rows": _Column.of_points([0.25 * i - 9.0 for i in range(n)]),
+            "ints": _Column.of_numbers(range(10**29, 10**29 + n)),
+            "plain": [math.nan, -math.inf, 1, [2.5, -0.0]],
         }
-        pieces = list(cli._json(payload))
-        assert "".join(pieces) == json.dumps(payload, indent=2) + "\n"
-        assert max(map(len, pieces)) < 200 * cli._CHUNK
+        pieces = _pieces(payload)
+        assert "".join(pieces) == json.dumps(_plain(payload), indent=2) + "\n"
+        assert max(map(len, pieces)) < 200 * corpus._CHUNK
 
 
 def _golden_table() -> str:
@@ -514,9 +633,11 @@ class TestAnalyzeBytes:
     def test_report_memory_is_bounded(self, tmp_path):
         """10^5 floats and 10^5 point rows stream in well under the 9.5 MB of their text."""
         n = 100_000
-        payload = {
-            "adjacent_se": [i / 7.0 for i in range(n)],
-            "zipf_points": {"points": [[i, math.log(i), 0.25 * i] for i in range(1, n + 1)]},
+        se = tuple(i / 7.0 for i in range(n))
+        plot = ZipfPlotData(tuple(0.25 * i for i in range(1, n + 1)), range(0), _LINES)
+        payload = {  # rendered while written, as analyze's columns are
+            "adjacent_se": partial(corpus._indented, _column_text(se), 1),
+            "zipf_points": {"points": partial(corpus._indented, _point_text(plot), 2)},
         }
         target = tmp_path / "report.json"
         tracemalloc.start()
@@ -539,7 +660,7 @@ class TestAnalyzeBytes:
         assert not target.exists()
 
 
-_LONG = 2 * cli._CHUNK + 5
+_LONG = 2 * corpus._CHUNK + 5
 
 
 @st.composite
@@ -622,7 +743,7 @@ def test_analyze_payload_copies_no_rows(monkeypatch):
     monkeypatch.setattr(cli, "load_rank_counts", lambda *a, **k: counts)
     monkeypatch.setattr(cli, "analyze", lambda *a, **k: report)
     args = cli._build_parser().parse_args(["analyze", "--input", "-", "--alpha", "1.106"])
-    text = sum(map(len, _se_text(report.adjacent_se))) + sum(
+    text = sum(map(len, _column_text(report.adjacent_se))) + sum(
         map(len, _point_text(report.zipf_points)))
     tracemalloc.start()
     try:
