@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .bounds import EnsembleParams, pick_n
 from .errors import DomainError, ParseError
@@ -50,6 +50,7 @@ _PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not rais
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
 _CHUNK = 1024  # rows per slice when a long column is rendered to text
+_SHOWN = 40  # characters of a bad field that an error message echoes
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,28 @@ def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> lis
     return list(data)
 
 
+def _shown(text: str) -> str:
+    """``text``, cut to its first _SHOWN characters when longer, for an error message."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:_SHOWN]}... ({len(text):,} characters)"
+
+
+def _per_run(fn: Callable, values: Iterable) -> Iterator:
+    """``map(fn, values)`` with one call of ``fn`` per run of equal values,
+    whose result every item of the run shares.
+
+    Runs are cut with ``!=``, which takes 0.0 and -0.0 as equal; no column
+    this runs on holds -0.0 (counts are ints >= 0, and no log is -0.0), so a
+    run never joins values with different reprs.
+    """
+    last = result = None
+    for x in values:
+        if x != last:
+            last, result = x, fn(x)
+        yield result
+
+
 def _is_number(field: str) -> bool:
     try:
         float(field.replace(",", "").replace("_", ""))
@@ -181,45 +204,51 @@ def load_rank_counts(
     labels: list[str] = []
     counts: list[int] = []
     header_skipped = False
-    for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
-        fields = [f.strip() for f in row]
-        if not any(fields) or fields[0].startswith("#"):
-            continue
-        if len(fields) == 2:
-            label, count_field = fields
-        elif len(fields) == 3:
-            _, label, count_field = fields
-        else:
-            raise ParseError(
-                f"expected 2 or 3 columns, got {len(fields)}", line=line_no
-            )
-        try:
-            count = int(count_field)
-        except ValueError:
-            digits = count_field[1:] if count_field[:1] in ("+", "-") else count_field
-            if digits.isascii() and digits.isdigit():
-                # int() refuses digit strings past its limit (4,300 digits by
-                # default, 640 at least), and all of them are past 1.8e308
-                count = -math.inf if count_field[0] == "-" else math.inf
-            elif not (counts or header_skipped or _is_number(count_field)):
-                header_skipped = True  # a single leading header row is allowed
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
+            fields = [f.strip() for f in row]
+            if not any(fields) or fields[0].startswith("#"):
                 continue
+            if len(fields) == 2:
+                label, count_field = fields
+            elif len(fields) == 3:
+                _, label, count_field = fields
             else:
                 raise ParseError(
-                    f"count field {count_field!r} is not an integer", line=line_no
-                ) from None
-        if not 0 <= count <= _MAX_COUNT:
-            if count < 0:
-                raise ParseError(f"count must be >= 0, got {count}", line=line_no)
-            raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
-        labels.append(label)
-        counts.append(count)
+                    f"expected 2 or 3 columns, got {len(fields)}", line=line_no
+                )
+            try:
+                count = int(count_field)
+            except ValueError:
+                digits = count_field[1:] if count_field[:1] in ("+", "-") else count_field
+                if digits.isascii() and digits.isdigit():
+                    # int() refuses digit strings past its limit (4,300 digits by
+                    # default, 640 at least), and all of them are past 1.8e308
+                    count = -math.inf if count_field[0] == "-" else math.inf
+                elif not (counts or header_skipped or _is_number(count_field)):
+                    header_skipped = True  # a single leading header row is allowed
+                    continue
+                else:
+                    raise ParseError(
+                        f"count field {_shown(repr(count_field))} is not an integer", line=line_no
+                    ) from None
+            if not 0 <= count <= _MAX_COUNT:
+                if count < 0:
+                    raise ParseError(f"count must be >= 0, got {_shown(str(count))}", line=line_no)
+                raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
+            labels.append(label)
+            counts.append(count)
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ParseError(str(exc), line=line_no + 1) from None
     if not counts:
         raise ParseError("no data records found in input")
     # reverse=True keeps the sort stable: ties stay in input order
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    # runs are cut on the floats, so counts that round to one float share it
+    ranked = map(float, map(counts.__getitem__, order))
     return RankedCounts(
-        counts=tuple(map(float, map(counts.__getitem__, order))),
+        counts=tuple(_per_run(float, ranked)),
         labels=tuple(map(labels.__getitem__, order)),
         total=total,
     )
@@ -229,12 +258,13 @@ def adjacent_se(counts: RankedCounts) -> tuple[float, ...]:
     """Standard-error separation (X_i - X_{i+1}) / sqrt(X_i + X_{i+1}) per pair.
 
     Under Poisson sampling this is the number of estimated standard
-    deviations separating consecutive counts.  Pairs summing to zero get a
-    0 sentinel.
+    deviations separating consecutive counts.  A tied pair, zeros included,
+    gets 0.0, one float shared by every tie; a pair that is not tied has
+    a > b >= 0, so a + b > 0.
     """
     c = counts.counts
     return tuple(
-        (a - b) / math.sqrt(a + b) if a + b > 0 else 0.0 for a, b in zip(c, c[1:])
+        (a - b) / math.sqrt(a + b) if a != b else 0.0 for a, b in zip(c, c[1:])
     )
 
 
@@ -260,7 +290,7 @@ def zipf_plot_data(
         ReferenceLine(slope=slopes[0], intercept=top + _ANCHOR_OFFSET),
         ReferenceLine(slope=slopes[1], intercept=top - _ANCHOR_OFFSET),
     )
-    ln_counts = tuple(map(math.log, c[:plotted]))
+    ln_counts = tuple(_per_run(math.log, itertools.islice(c, plotted)))
     return ZipfPlotData(ln_counts, range(plotted + 1, len(c) + 1), lines)
 
 

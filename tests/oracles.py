@@ -186,3 +186,21 @@ def write_bound_csv_per_row(terms, out) -> None:
     out.write("i,term\n")
     for i, term in enumerate(terms, start=1):
         out.write(f"{i},{term!r}\n")
+
+
+def ranked_floats_per_row(ranked_ints) -> tuple[float, ...]:
+    """The counts column one float per row, as the parser built it before runs shared one."""
+    return tuple(map(float, ranked_ints))
+
+
+def ln_counts_per_row(counts) -> tuple[float, ...]:
+    """ln X_i one call per row, for counts that are all positive."""
+    return tuple(map(math.log, counts))
+
+
+def adjacent_se_per_row(counts) -> tuple[float, ...]:
+    """(a - b) / sqrt(a + b) per adjacent pair, with 0.0 for a pair summing to zero."""
+    c = counts
+    return tuple(
+        (a - b) / math.sqrt(a + b) if a + b > 0 else 0.0 for a, b in zip(c, c[1:])
+    )

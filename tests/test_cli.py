@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, schemas, determinism, file and stdin round trips."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -733,6 +734,59 @@ class TestAnalyzeOutputsMatchReport:
             assert out.getvalue() == json.dumps(report.to_dict(), indent=2) + "\n"
             assert paths["zipf.csv"].read_text(encoding="utf-8") == zipf.getvalue()
             assert paths["se.csv"].read_text(encoding="utf-8") == se.getvalue()
+
+
+_CSV_LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def _hostile_tables(draw):
+    """Table text, and its --input-format: well-formed rows with a few hostile
+    ones among them, holding stray quotes, NULs, the other delimiter, signed
+    counts, fields past csv's size limit or counts past int()'s 4,300 digits."""
+    sep = draw(st.sampled_from(["\t", ","]))
+    good = st.tuples(st.sampled_from(["the", "of", "a b"]), st.integers(0, 10**6))
+    rows = [f"{lab}{sep}{cnt}" for lab, cnt in draw(st.lists(good, min_size=1, max_size=12))]
+    count = st.one_of(
+        st.integers(-10**6, 10**6).map(lambda v: f"{v:+d}"),
+        st.tuples(st.sampled_from(["", "+", "-"]), st.integers(4_301, 5_000)).map(
+            lambda t: t[0] + "1" * t[1]),
+        st.integers(41, 4_000).map(lambda n: "-" + "1" * n),
+        st.text(alphabet='0123456789"\x00 .+-e,_\t', max_size=12),
+    )
+    label = st.text(alphabet='ab"\x00 \t,#', max_size=8) | st.just("x" * (_CSV_LIMIT + 1))
+    hostile = st.tuples(label, st.sampled_from(["\t", ","]), count).map("".join)
+    for row in draw(st.lists(hostile, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    rows += ["w" + sep + "5"] * draw(st.sampled_from([0, 0, 50]))  # for a stray quote to swallow
+    return "\n".join(rows) + "\n", draw(st.sampled_from(["auto", "tsv", "csv"]))
+
+
+class TestAnalyzeHostileTables:
+    """Whatever the table, analyze exits 0 or 1, and 1 with one short error line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hostile_tables())
+    @example(("a\t9\n" + "x" * 140_000 + "\t5\nc\t3\n", "auto"))  # field past csv's limit
+    @example(("".join(  # a stray quote joins the rest of the table into one count field
+        "w%d\t%s%d\n" % (i, '"' if i == 3 else "", 1000 - i) for i in range(1, 901)), "auto"))
+    def test_one_error_line_and_no_traceback(self, case):
+        text, fmt = case
+        with tempfile.TemporaryDirectory() as tmp:
+            table = Path(tmp, "table.txt")
+            table.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--input", str(table), "--input-format", fmt,
+                             "--alpha", "1.5", "--window", "1", "2"])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "" and json.loads(out.getvalue())
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.startswith("zipforder: error: ") and err.count("\n") == 1
+            assert len(err) < 200, err[:300]
 
 
 def test_analyze_payload_copies_no_rows(monkeypatch):

@@ -1,15 +1,23 @@
 """Table ingestion, diagnostics, and the composed analysis report."""
 
+import csv
 import io
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import BNC_TOTAL, make_zipf_table
-from oracles import write_se_csv_per_row, write_zipf_csv_per_row
+from oracles import (
+    adjacent_se_per_row,
+    ln_counts_per_row,
+    ranked_floats_per_row,
+    write_se_csv_per_row,
+    write_zipf_csv_per_row,
+)
 from zipforder import (
     DomainError,
     ParseError,
@@ -122,6 +130,28 @@ class TestLoadRankCounts:
         with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
             load_rank_counts(rows)
         assert len(str(exc.value)) < 100
+
+    def test_field_past_csv_limit_is_parse_error(self):
+        """csv refuses a field longer than its limit; the error names the record."""
+        lines = ["a\t9", "x" * (csv.field_size_limit() + 1) + "\t5", "c\t3"]
+        with pytest.raises(ParseError, match=r"^line 2: field larger than field limit") as exc:
+            load_rank_counts(lines)
+        assert len(str(exc.value)) < 100
+
+    def test_non_integer_count_echo_is_capped(self):
+        """A stray quote makes csv join the rest of the table into one count field."""
+        lines = ["w%d\t%s%d" % (i, '"' if i == 3 else "", 1000 - i) for i in range(1, 901)]
+        with pytest.raises(ParseError, match="^line 3: count field '997w4") as exc:
+            load_rank_counts(lines)
+        assert len(str(exc.value)) < 150
+        assert str(exc.value).endswith(" characters) is not an integer")
+
+    def test_negative_count_echo_is_capped(self):
+        with pytest.raises(ParseError, match="^line 2: count must be >= 0, got -111") as exc:
+            load_rank_counts(["a\t9", "b\t-" + "1" * 4000])
+        assert len(str(exc.value)) < 150
+        with pytest.raises(ParseError, match="^line 1: count must be >= 0, got -3$"):
+            load_rank_counts(["b\t-3"])
 
     def test_float_range_edge(self):
         """The largest count float() rounds to a finite value parses; the next is refused."""
@@ -330,6 +360,83 @@ class TestAnalyze:
         table = RankedCounts(counts=(9.0, 5.0))
         with pytest.raises(DomainError, match="window"):
             analyze(table, alpha=1.5, window=(10, 100))
+
+
+def _poisson_zipf_counts(rows: int, scale: float, seed: int) -> list[int]:
+    """Counts Poisson around scale * i^-1.106 for i = 1..rows, in shuffled file order."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(rng.poisson(scale * np.arange(1, rows + 1) ** -1.106)).tolist()
+
+
+def _sharing_tables() -> dict[str, list[int]]:
+    """Counts in file order: tie-heavy with zeros, all distinct, and float edge cases."""
+    rng = np.random.default_rng(2311)
+    distinct = rng.choice(10**12, size=3000, replace=False).tolist()
+    edges = [
+        8 * 10**307, 8 * 10**307 + 1,  # near 1e308, and one float for both
+        2**53, 2**53 + 1, 10**300 + 7, 10**300,  # ints that round to one float
+        10**17, 10**17 + 1, 1, 1, 0, 0, 3,
+    ]
+    return {
+        "tie-heavy": _poisson_zipf_counts(5000, 2e4, seed=7),
+        "all-distinct": distinct,
+        "edges": edges + _poisson_zipf_counts(300, 50.0, seed=8),
+    }
+
+
+class TestRunSharing:
+    """Each run of equal values in the corpus columns is one float object,
+    and the columns equal the per-row forms value for value and repr for repr."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("name", ["tie-heavy", "all-distinct", "edges"])
+    def test_columns_match_per_row_forms(self, name):
+        ints = _sharing_tables()[name]
+        table = load_rank_counts([f"w{j}\t{c}" for j, c in enumerate(ints)])
+        c = table.counts
+        self._assert_same(c, ranked_floats_per_row(sorted(ints, reverse=True)))
+        assert len({id(x) for x in c}) == len(set(c))
+
+        plot = zipf_plot_data(table)
+        self._assert_same(plot.ln_counts, ln_counts_per_row([x for x in c if x > 0]))
+        assert len({id(y) for y in plot.ln_counts}) == len(set(plot.ln_counts))
+
+        se = adjacent_se(table)
+        self._assert_same(se, adjacent_se_per_row(c))
+        assert len({id(s) for s, a, b in zip(se, c, c[1:]) if a == b}) <= 1
+        if name == "tie-heavy":
+            assert len(set(c)) < len(c) // 2 and 0.0 in c
+
+    @pytest.mark.parametrize("pair", [
+        (5.0, 5.0), (0.0, 0.0), (3.0, 0.0), (5e-324, 0.0), (5e-324, 5e-324),
+        (1e308, 1e308), (1.7e308, 1e308), (1.7976931348623157e308, 0.0),
+    ])
+    def test_tie_rule_matches_sum_rule(self, pair):
+        """``a != b`` picks the same value as ``a + b > 0``: for ties, zero
+        ones included, and where a + b overflows to inf (no RankedCounts
+        holds such a pair, since its sum must be finite)."""
+        counts = SimpleNamespace(counts=pair)
+        self._assert_same(adjacent_se(counts), adjacent_se_per_row(pair))
+
+    def test_table_and_report_memory_per_row(self):
+        """A parsed 10^5-row Poisson-Zipf table and its report hold under 110
+        bytes per row: past rank (alpha N)^(1/(alpha+1)), about 2,500 here,
+        counts tie, and a run of ties shares its count, log and 0.0."""
+        n = 100_000
+        lines = [f"w{j:06d}\t{c}" for j, c in enumerate(_poisson_zipf_counts(n, 1.25e7, seed=1))]
+        tracemalloc.start()
+        try:
+            table = load_rank_counts(lines)
+            report = analyze(table, alpha=1.106)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.adjacent_se) == n - 1
+        assert held < 110 * n
 
 
 class TestCsvWriters:
