@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -154,6 +155,13 @@ def _pair_term(params: EnsembleParams, i: int) -> float:
     return math.exp(-params.N * diff * diff)
 
 
+def _pair_terms(params: EnsembleParams, n: int) -> Iterator[float]:
+    """The terms of :func:`prefix_error_bound`, for i = 1..n-1, made as they are read."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return (_pair_term(params, i) for i in range(1, n))
+
+
 def prefix_error_bound(n: int, params: EnsembleParams) -> BoundReport:
     """Bonferroni bound on any misordering among the first n ranks.
 
@@ -161,9 +169,7 @@ def prefix_error_bound(n: int, params: EnsembleParams) -> BoundReport:
     Pr(X_{i+1} >= X_i); their sum bounds the probability that the sampled
     counts fail to satisfy X_1 > X_2 > ... > X_n.  n = 1 gives an empty sum.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    terms = tuple(_pair_term(params, i) for i in range(1, n))
+    terms = tuple(_pair_terms(params, n))
     total = math.fsum(terms)
     return BoundReport(n, terms, total, min(total, 1.0))
 
@@ -202,19 +208,19 @@ def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple
     # The float running sum finds the boundary and math.fsum settles it: the
     # scan stops only where fsum also exceeds epsilon, then steps back while
     # the shorter prefix still does.  fsum's partial sums are nondecreasing,
-    # so this is the scan with fsum at every n, in O(n).
-    terms: list[float] = []
-    running = 0.0
-    while len(terms) + 1 < n_max:
-        terms.append(_pair_term(params, len(terms) + 1))
-        running += terms[-1]
-        if running > epsilon and math.fsum(terms) > epsilon:
+    # so this is the scan with fsum at every n, in O(n) time and O(1) memory:
+    # each fsum makes the prefix's terms again.
+    n, running = 1, 0.0
+    while n < n_max:
+        running += _pair_term(params, n)
+        n += 1
+        if running > epsilon and math.fsum(_pair_terms(params, n)) > epsilon:
             break
-    total = math.fsum(terms)
+    total = math.fsum(_pair_terms(params, n))
     while total > epsilon:  # the empty sum, 0, ends this
-        terms.pop()
-        total = math.fsum(terms)
-    return len(terms) + 1, total
+        n -= 1
+        total = math.fsum(_pair_terms(params, n))
+    return n, total
 
 
 def threshold_A(alpha: float) -> float:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import partial
 from typing import Iterable, Iterator
 
-from .bounds import EnsembleParams, _pick_n_and_sum, prefix_error_bound, threshold_n_prime
+from .bounds import EnsembleParams, _pair_terms, _pick_n_and_sum, threshold_n_prime
 from .corpus import DEFAULT_SLOPES, DEFAULT_WINDOW, analyze, load_rank_counts
 from .corpus import _column_text, _indented, _numbered_csv, _point_text, _zipf_csv
 from .errors import ZipfOrderError
@@ -175,21 +176,23 @@ def _cmd_threshold(args) -> Iterable[str]:
 
 
 def _cmd_bound(args) -> Iterable[str]:
-    report = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha, args.k))
+    params = EnsembleParams(args.N, args.alpha, args.k)
     # every term is exp(-x) with x >= 0 or x = inf, so finite, and its repr is
-    # its JSON text; the slices are made lazily, while the report is written
-    terms = _column_text(report.per_pair_terms)
+    # its JSON text; the terms and their slices are made lazily, while the
+    # report is written, and the sum takes a pass of its own
+    terms = _column_text(_pair_terms(params, args.n))
     if args.format == "csv":
         return _numbered_csv("i,term", terms)
+    total = math.fsum(_pair_terms(params, args.n))
     return _json(
         {
-            "n": report.n,
+            "n": args.n,
             "N": args.N,
             "alpha": args.alpha,
             "k": args.k,
             "per_pair_terms": partial(_indented, terms, 1),
-            "bonferroni_sum": report.bonferroni_sum,
-            "clamped_probability": report.clamped_probability,
+            "bonferroni_sum": total,
+            "clamped_probability": min(total, 1.0),
         }
     )
 

@@ -136,22 +136,6 @@ class AnalysisReport:
         }
 
 
-def _text_lines(source: str | Path | IO[bytes] | IO[str] | Iterable[str]) -> list[str]:
-    """The lines of a path, bytes, a binary or text stream, or an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        source = Path(source).read_bytes()
-    try:
-        data = source.read() if hasattr(source, "read") else source
-        if isinstance(data, bytes):
-            return data.decode("utf-8").splitlines()
-        if isinstance(data, str):
-            data.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
-            return data.splitlines()
-    except UnicodeError as exc:
-        raise ParseError(f"input is not UTF-8: {exc}") from None
-    return list(data)
-
-
 def _shown(text: str) -> str:
     """``text``, cut to its first _SHOWN characters when longer, for an error message."""
     if len(text) <= _SHOWN:
@@ -191,22 +175,34 @@ def load_rank_counts(
     sort is stable, so ties keep their input order.  ``total`` overrides the
     table sum for truncated tables.  ``fmt="auto"`` picks TSV when the first
     line that is not blank or a '#' comment holds a tab, and CSV otherwise.
+
+    ``source`` is a path, read as UTF-8, a text stream or an iterable of
+    lines; a quoted field may span lines, and an error names the physical
+    line its record starts on.
     """
     if fmt not in ("tsv", "csv", "auto"):
         raise DomainError(f"format must be 'tsv', 'csv' or 'auto', got {fmt!r}")
-    lines = _text_lines(source)
-    if fmt == "auto":
-        first = next(
-            (l for l in lines if l.strip() and not l.lstrip().startswith("#")), ""
-        )
-        fmt = "tsv" if "\t" in first else "csv"
-    delimiter = "\t" if fmt == "tsv" else ","
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", newline="") as fh:
+            return load_rank_counts(fh, fmt, total)
+    lines = iter(source)
     labels: list[str] = []
     counts: list[int] = []
     header_skipped = False
-    line_no = 0
+    start = 1  # the line the next record starts on
     try:
-        for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
+        if fmt == "auto":
+            head, first = [], ""
+            for line in lines:
+                head.append(line)
+                if line.strip() and not line.lstrip().startswith("#"):
+                    first = line
+                    break
+            fmt = "tsv" if "\t" in first else "csv"
+            lines = itertools.chain(head, lines)
+        reader = csv.reader(lines, delimiter="\t" if fmt == "tsv" else ",")
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
             fields = [f.strip() for f in row]
             if not any(fields) or fields[0].startswith("#"):
                 continue
@@ -239,8 +235,11 @@ def load_rank_counts(
                 raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
             labels.append(label)
             counts.append(count)
+        "".join(labels).encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
     except csv.Error as exc:  # e.g. a field past csv's size limit
-        raise ParseError(str(exc), line=line_no + 1) from None
+        raise ParseError(str(exc), line=start) from None
+    except UnicodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
     if not counts:
         raise ParseError("no data records found in input")
     # reverse=True keeps the sort stable: ties stay in input order
@@ -359,15 +358,17 @@ def analyze(
 # repr, so a column bound for JSON holds no nan or infinity.
 def _point_text(plot: ZipfPlotData) -> Iterator[str]:
     """The plot rows as ``1, 0.0, 4.6], [2, 0.69..., 4.1...``, slice by slice."""
+    reprs = _per_run(repr, plot.ln_counts)
     for start in range(0, len(plot.ln_counts), _CHUNK):
-        rows = enumerate(plot.ln_counts[start:start + _CHUNK], start=start + 1)
-        yield "], [".join([f"{i}, {math.log(i)!r}, {y!r}" for i, y in rows])
+        rows = enumerate(itertools.islice(reprs, _CHUNK), start=start + 1)
+        yield "], [".join([f"{i}, {math.log(i)!r}, {y}" for i, y in rows])
 
 
-def _column_text(values: Sequence[float]) -> Iterator[str]:
+def _column_text(values: Iterable[float]) -> Iterator[str]:
     """The values as ``1.5, -0.25``, slice by slice."""
-    for start in range(0, len(values), _CHUNK):
-        yield ", ".join(map(repr, values[start:start + _CHUNK]))
+    values = iter(values)
+    while text := ", ".join(map(repr, itertools.islice(values, _CHUNK))):
+        yield text
 
 
 def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:

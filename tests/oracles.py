@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 
 from zipforder import ConfigurationError, DomainError, poisson_upper_tail_bound
+from zipforder.bounds import _pair_term
 
 
 def poisson_pmf_array(lam: float, kmax: int) -> np.ndarray:
@@ -129,6 +130,24 @@ def log_space_horizon(params, n_focus: int, safety: float, max_horizon: int = 2*
         m += max(1, m // 8)
         if m > max_horizon:
             raise ConfigurationError(f"no horizon up to {max_horizon} certifies {safety}")
+
+
+def pick_n_and_sum_kept_terms(params, epsilon: float, n_max: int) -> tuple[int, float]:
+    """pick_n's n and math.fsum of its prefix's terms, with every term kept in
+    a list: a float running sum finds the boundary, fsum over the list checks
+    it there, and the list is popped while its fsum still exceeds epsilon."""
+    terms: list[float] = []
+    running = 0.0
+    while len(terms) + 1 < n_max:
+        terms.append(_pair_term(params, len(terms) + 1))
+        running += terms[-1]
+        if running > epsilon and math.fsum(terms) > epsilon:
+            break
+    total = math.fsum(terms)
+    while total > epsilon:
+        terms.pop()
+        total = math.fsum(terms)
+    return len(terms) + 1, total
 
 
 def brute_force_outcome(x) -> tuple[int, str, int | None, int | None]:

@@ -8,7 +8,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import jumper_tail_sum, poisson_cdf, poisson_sf, skellam_leq_prob, wilson_upper
+from oracles import (
+    jumper_tail_sum,
+    pick_n_and_sum_kept_terms,
+    poisson_cdf,
+    poisson_sf,
+    skellam_leq_prob,
+    wilson_upper,
+)
 from zipforder import (
     DomainError,
     EnsembleParams,
@@ -26,6 +33,7 @@ from zipforder import (
     threshold_n_hat,
     threshold_n_prime,
 )
+from zipforder.bounds import _pick_n_and_sum
 
 BNC_PARAMS = EnsembleParams(1e7, 1.106, 0.0)
 
@@ -252,6 +260,23 @@ class TestPickN:
                         break
                     want = n
                 assert got == want, (N, alpha, k, eps)
+
+    def test_matches_kept_terms_form_on_seeded_points(self):
+        """The n and sum, bit for bit, of the scan that keeps every term, on
+        2,000 points: N 1 to 1e16, alpha 1.001 to 4, k 0 or up to 5, epsilon
+        1e-12 to 0.999 and n_max 1 to 10^4, each log-uniform but alpha and k."""
+        rng = np.random.default_rng(2025)
+        stops = set()
+        for _ in range(2000):
+            k = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 5.0)
+            params = EnsembleParams(10.0 ** rng.uniform(0.0, 16.0), rng.uniform(1.001, 4.0), k)
+            eps = 10.0 ** rng.uniform(-12.0, math.log10(0.999))
+            n_max = int(10.0 ** rng.uniform(0.0, 4.0))
+            n, total = _pick_n_and_sum(params, eps, n_max)
+            want_n, want_total = pick_n_and_sum_kept_terms(params, eps, n_max)
+            assert (n, total.hex()) == (want_n, want_total.hex()), (params, eps, n_max)
+            stops.add("cap" if n == n_max else "budget")
+        assert stops == {"cap", "budget"}
 
     def test_epsilon_equal_to_a_prefix_sum(self):
         """A budget met with equality admits the prefix."""

@@ -169,6 +169,24 @@ class TestBound:
         assert peak < text // 4
 
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_million_terms_hold_no_list(self, tmp_path, fmt):
+        """bound --n 1000000 makes its terms as it writes them and sums them in
+        a second pass: cli.main peaks far below the 8 MB a list of them takes."""
+        target = tmp_path / f"bound.{fmt}"
+        argv = ["bound", "--N", "1e7", "--alpha", "1.106", "--n", "1000000",
+                "--format", fmt, "--out", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert target.stat().st_size > 20_000_000
+        assert peak < 1_000_000
+
+
 class TestPickN:
     def test_default_epsilon(self, capsys):
         code, out, _ = run_cli(capsys, "pick-n", "--N", "1e7", "--alpha", "1.106")
@@ -210,6 +228,25 @@ class TestPickN:
         assert (code, payload["n"]) == (0, n)
         expected = prefix_error_bound(n, EnsembleParams(N, 1.106)).bonferroni_sum
         assert payload["bonferroni_sum"] == expected
+
+
+    def test_deep_scan_holds_no_terms(self, tmp_path):
+        """Every term underflows to 0, so the scan runs to --n-max 10^6 and
+        holds none of them: cli.main peaks far below the 8 MB of their list."""
+        target = tmp_path / "pick.json"
+        argv = ["pick-n", "--N", "1e300", "--alpha", "1.01", "--n-max", "1000000",
+                "--out", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        assert (payload["n"], payload["cap_reached"], payload["bonferroni_sum"]) == (
+            1_000_000, True, 0.0)
+        assert peak < 1_000_000
 
 
 class TestSimulate:

@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import BNC_TOTAL, make_zipf_table
 from oracles import (
@@ -191,6 +195,93 @@ class TestLoadRankCounts:
         assert len(bnc_top10) == 10
         assert bnc_top10.counts[0] == 6187267.0
         assert bnc_top10.total == BNC_TOTAL
+
+
+# Characters that str.splitlines ends a line at but csv and io do not, then
+# line breaks, quotes and both delimiters
+_LABEL_CHARS = [
+    "a", "b", " ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ",", '"', "\t", "\n", "\r\n",
+]
+
+
+@st.composite
+def _written_tables(draw):
+    """A format, a line terminator, (label, count) rows for csv.writer, and
+    the index of a row past the first whose count is written as 'oops', or None."""
+    fmt = draw(st.sampled_from(["tsv", "csv"]))
+    terminator = draw(st.sampled_from(["\r\n", "\n"]))
+    label = st.lists(st.sampled_from(_LABEL_CHARS), max_size=6).map("".join)
+    rows = draw(st.lists(st.tuples(label, st.integers(0, 10**6)), min_size=1, max_size=12))
+    bad = draw(st.none() | st.integers(1, len(rows) - 1)) if len(rows) > 1 else None
+    return fmt, terminator, rows, bad
+
+
+class TestTableStream:
+    """csv reads the table as written: a quoted field keeps its line breaks,
+    other characters never end a line, and errors name physical lines."""
+
+    def test_auto_sniff_keeps_label_characters(self):
+        text = "a\x85b\t5\nc\u2028d\t3\n"
+        assert load_rank_counts(io.StringIO(text), fmt="auto").labels == ("a\x85b", "c\u2028d")
+
+    @pytest.mark.parametrize("text, fmt", [
+        ('a,9\n"b\nc",5\nd,oops\n', "csv"),
+        ("# a\tlist\n\nd\t3\ne\toops\n", "auto"),  # the lines auto reads come first
+    ])
+    def test_error_names_the_physical_line(self, text, fmt):
+        with pytest.raises(ParseError, match="^line 4: count field 'oops' is not an integer$"):
+            load_rank_counts(io.StringIO(text), fmt=fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_written_tables())
+    @example(("tsv", "\n", [("a\x0cb", 5), ("c", 3)], None))
+    @example(("csv", "\n", [("b\nc", 5), ("d", 3)], None))
+    @example(("csv", "\n", [("a", 9), ("b\nc", 5), ("d", 3)], 2))
+    def test_written_tables_read_back(self, case):
+        """By path, as a text stream and as its lines, the labels (stripped)
+        and counts come back, and a bad count names its record's first line."""
+        fmt, terminator, rows, bad = case
+        out = io.StringIO(newline="")
+        writer = csv.writer(out, delimiter="\t" if fmt == "tsv" else ",", lineterminator=terminator)
+        starts = []
+        for j, (label, count) in enumerate(rows):
+            starts.append(out.getvalue().count("\n") + 1)  # every line end holds one \n
+            writer.writerow([label, "oops" if j == bad else count])
+        text = out.getvalue()
+        order = sorted(range(len(rows)), key=lambda j: rows[j][1], reverse=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "table.txt")
+            path.write_text(text, encoding="utf-8", newline="")
+            for source in (
+                path, io.StringIO(text, newline=""), io.StringIO(text, newline="").readlines()
+            ):
+                if bad is not None:
+                    with pytest.raises(ParseError) as exc:
+                        load_rank_counts(source, fmt=fmt)
+                    assert str(exc.value) == (
+                        f"line {starts[bad]}: count field 'oops' is not an integer"
+                    )
+                    continue
+                table = load_rank_counts(source, fmt=fmt)
+                assert table.labels == tuple(rows[j][0].strip() for j in order)
+                assert table.counts == tuple(float(rows[j][1]) for j in order)
+
+    def test_parse_by_path_memory_per_row(self, tmp_path):
+        """Parsing a 10^5-row table by path peaks under 170 bytes per row:
+        csv takes the file a line at a time, and no copy of the text is made."""
+        n = 100_000
+        path = tmp_path / "table.tsv"
+        counts = _poisson_zipf_counts(n, 1.25e7, seed=1)
+        path.write_text("".join(f"w{j:06d}\t{c}\n" for j, c in enumerate(counts)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_rank_counts(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n
+        assert peak < 170 * n
 
 
 class TestAdjacentSe:
