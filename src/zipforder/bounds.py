@@ -22,6 +22,7 @@ throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -148,11 +149,26 @@ def poisson_lower_tail_bound(lam: float, t: float) -> float:
     return _tail_bound(lam, t, 1.0 - t / lam)
 
 
+# exp(-x) is 0.0 from x of about 745.13 on.  The pair exponents fall as i
+# grows, and computed they can break that order only by their rounding error
+# (about 1e-8 relative, measured), so each rank before the first whose
+# exponent is below 800 has a term of exactly 0.0.
+_UNDERFLOW_EXPONENT = 800.0
+
+
 def _pair_term(params: EnsembleParams, i: int) -> float:
-    # skellam_order_bound(lambda_i, lambda_{i+1}) written directly in (i+k)
+    # skellam_order_bound(lambda_i, lambda_{i+1}) written directly in (i+k);
+    # the exponent is _pair_exponent's, written out since this runs per term
     half = params.alpha / 2.0
     diff = (i + params.k) ** -half - (i + 1 + params.k) ** -half
     return math.exp(-params.N * diff * diff)
+
+
+def _pair_exponent(params: EnsembleParams, i: int) -> float:
+    # the x of _pair_term's exp(-x), rounded as it rounds
+    half = params.alpha / 2.0
+    diff = (i + params.k) ** -half - (i + 1 + params.k) ** -half
+    return params.N * diff * diff
 
 
 def _pair_terms(params: EnsembleParams, n: int) -> Iterator[float]:
@@ -205,21 +221,32 @@ def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    # The terms grow with i, and the leading ones that underflow are 0.0:
+    # bisection finds the first rank whose exponent is below
+    # _UNDERFLOW_EXPONENT, and the scan and every sum start there, which
+    # leaves n and the sum bit for bit as a scan from rank 1 has them.
+    first = 1 + bisect.bisect_left(
+        range(1, n_max), True, key=lambda i: _pair_exponent(params, i) < _UNDERFLOW_EXPONENT
+    )
+
+    def prefix_sum(n: int) -> float:  # math.fsum of the prefix's terms
+        return math.fsum(_pair_term(params, i) for i in range(first, n))
+
     # The float running sum finds the boundary and math.fsum settles it: the
     # scan stops only where fsum also exceeds epsilon, then steps back while
     # the shorter prefix still does.  fsum's partial sums are nondecreasing,
     # so this is the scan with fsum at every n, in O(n) time and O(1) memory:
     # each fsum makes the prefix's terms again.
-    n, running = 1, 0.0
+    n, running = first, 0.0
     while n < n_max:
         running += _pair_term(params, n)
         n += 1
-        if running > epsilon and math.fsum(_pair_terms(params, n)) > epsilon:
+        if running > epsilon and prefix_sum(n) > epsilon:
             break
-    total = math.fsum(_pair_terms(params, n))
+    total = prefix_sum(n)
     while total > epsilon:  # the empty sum, 0, ends this
         n -= 1
-        total = math.fsum(_pair_terms(params, n))
+        total = prefix_sum(n)
     return n, total
 
 

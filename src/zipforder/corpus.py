@@ -15,9 +15,11 @@ import csv
 import itertools
 import math
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator
 
 from .bounds import EnsembleParams, pick_n
 from .errors import DomainError, ParseError
@@ -158,6 +160,53 @@ def _per_run(fn: Callable, values: Iterable) -> Iterator:
         yield result
 
 
+class _Labels(Sequence):
+    """A parsed table's labels in rank order, read like the tuple of them.
+
+    They are kept as one string, ``text``, and the n + 1 offsets ``ends``
+    where label i starts (``ends[i]``) and stops (``ends[i + 1]``); label i
+    is made as a slice when it is read.  That costs each label its characters
+    and 8 bytes, where a ``str`` per label costs 49 bytes or more besides.
+    One label past Latin-1 widens every character of ``text`` to 2 bytes, or
+    4 past the BMP; labels of up to about 16 characters still cost less.
+
+    Indexing, slicing (to a tuple), ``==``, ``hash`` and ``repr`` are those
+    of the tuple of the labels.
+    """
+
+    __slots__ = ("_text", "_ends")
+
+    def __init__(self, text: str, ends: array):
+        self._text = text
+        self._ends = ends
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]  # IndexError and negative indices as a tuple's
+        if isinstance(picked, range):
+            return tuple(map(self.__getitem__, picked))
+        return self._text[self._ends[picked]:self._ends[picked + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        ends = self._ends
+        return map(self._text.__getitem__, map(slice, ends, itertools.islice(ends, 1, None)))
+
+    def __eq__(self, other):
+        if isinstance(other, _Labels):
+            return self._ends == other._ends and self._text == other._text
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def _is_number(field: str) -> bool:
     try:
         float(field.replace(",", "").replace("_", ""))
@@ -174,7 +223,7 @@ def load_rank_counts(
     Records are sorted by count descending and ranks reassigned 1..len; the
     sort is stable, so ties keep their input order.  ``total`` overrides the
     table sum for truncated tables.  ``fmt="auto"`` picks TSV when the first
-    line that is not blank or a '#' comment holds a tab, and CSV otherwise.
+    record that is not blank or a '#' comment holds a tab, and CSV otherwise.
 
     ``source`` is a path, read as UTF-8, a text stream or an iterable of
     lines; a quoted field may span lines, and an error names the physical
@@ -192,13 +241,19 @@ def load_rank_counts(
     start = 1  # the line the next record starts on
     try:
         if fmt == "auto":
-            head, first = [], ""
+            # the first record decides, and a quoted field may carry it over
+            # lines: read on while its quotes are open, up to csv's field limit
+            head, size, quotes, fmt = [], 0, 0, "csv"
             for line in lines:
                 head.append(line)
-                if line.strip() and not line.lstrip().startswith("#"):
-                    first = line
+                if not size and (not line.strip() or line.lstrip().startswith("#")):
+                    continue
+                size += len(line)
+                quotes += line.count('"')
+                if "\t" in line:
+                    fmt = "tsv"
+                if fmt == "tsv" or quotes % 2 == 0 or size > csv.field_size_limit():
                     break
-            fmt = "tsv" if "\t" in first else "csv"
             lines = itertools.chain(head, lines)
         reader = csv.reader(lines, delimiter="\t" if fmt == "tsv" else ",")
         for row in reader:
@@ -235,20 +290,24 @@ def load_rank_counts(
                 raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
             labels.append(label)
             counts.append(count)
-        "".join(labels).encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
+        # reverse=True keeps the sort stable: ties stay in input order
+        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+        labels = list(map(labels.__getitem__, order))
+        text = "".join(labels)
+        text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
     except csv.Error as exc:  # e.g. a field past csv's size limit
         raise ParseError(str(exc), line=start) from None
     except UnicodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from None
     if not counts:
         raise ParseError("no data records found in input")
-    # reverse=True keeps the sort stable: ties stay in input order
-    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    ends = array("q", itertools.accumulate(map(len, labels), initial=0))
+    del labels  # a str per label is 49 bytes or more: free them before the counts column
     # runs are cut on the floats, so counts that round to one float share it
     ranked = map(float, map(counts.__getitem__, order))
     return RankedCounts(
         counts=tuple(_per_run(float, ranked)),
-        labels=tuple(map(labels.__getitem__, order)),
+        labels=_Labels(text, ends),
         total=total,
     )
 

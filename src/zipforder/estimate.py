@@ -43,7 +43,7 @@ class RankedCounts:
     """
 
     counts: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
+    labels: Sequence[str] | None = None
     total: float | None = None
 
     def __post_init__(self):

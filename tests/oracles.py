@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from zipforder import ConfigurationError, DomainError, poisson_upper_tail_bound
-from zipforder.bounds import _pair_term
+from zipforder.bounds import _pair_term, _pair_terms
 
 
 def poisson_pmf_array(lam: float, kmax: int) -> np.ndarray:
@@ -148,6 +148,24 @@ def pick_n_and_sum_kept_terms(params, epsilon: float, n_max: int) -> tuple[int, 
         terms.pop()
         total = math.fsum(terms)
     return len(terms) + 1, total
+
+
+def pick_n_and_sum_full_scan(params, epsilon: float, n_max: int) -> tuple[int, float]:
+    """pick_n's n and math.fsum of its prefix's terms, scanned from rank 1:
+    a float running sum finds the boundary, fsum over the prefix's terms,
+    made again, checks it there, and n steps back while that fsum exceeds
+    epsilon.  Every term is made, the leading ones that underflow too."""
+    n, running = 1, 0.0
+    while n < n_max:
+        running += _pair_term(params, n)
+        n += 1
+        if running > epsilon and math.fsum(_pair_terms(params, n)) > epsilon:
+            break
+    total = math.fsum(_pair_terms(params, n))
+    while total > epsilon:
+        n -= 1
+        total = math.fsum(_pair_terms(params, n))
+    return n, total
 
 
 def brute_force_outcome(x) -> tuple[int, str, int | None, int | None]:

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     jumper_tail_sum,
+    pick_n_and_sum_full_scan,
     pick_n_and_sum_kept_terms,
     poisson_cdf,
     poisson_sf,
@@ -33,7 +34,7 @@ from zipforder import (
     threshold_n_hat,
     threshold_n_prime,
 )
-from zipforder.bounds import _pick_n_and_sum
+from zipforder.bounds import _pair_term, _pick_n_and_sum
 
 BNC_PARAMS = EnsembleParams(1e7, 1.106, 0.0)
 
@@ -277,6 +278,42 @@ class TestPickN:
             assert (n, total.hex()) == (want_n, want_total.hex()), (params, eps, n_max)
             stops.add("cap" if n == n_max else "budget")
         assert stops == {"cap", "budget"}
+
+    def test_matches_full_scan_past_underflow_on_seeded_points(self):
+        """The n and sum, bit for bit, of the scan that makes every term from
+        rank 1, on 2,000 points: N 1 to 1e300, alpha 1.001 to 4, k 0 or up to
+        5, epsilon 1e-12 to 0.999 and n_max 1 to 10^4.  On two points in three
+        N puts the rank where the terms stop underflowing to 0 near a rank b
+        below n_max, from N (alpha/2)^2 (b+k)^-(alpha+2) = 745 / 10^U(0, 0.5)."""
+        rng = np.random.default_rng(2026)
+        inside, stops = 0, set()
+        for j in range(2000):
+            alpha = rng.uniform(1.001, 4.0)
+            k = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 5.0)
+            if j % 3:
+                n_max = int(10.0 ** rng.uniform(0.5, 4.0))
+                b = 10.0 ** rng.uniform(math.log10(2.0), math.log10(n_max))
+                N = 2980.0 / alpha**2 * (b + k) ** (alpha + 2.0) * 10.0 ** rng.uniform(-0.5, 0.0)
+            else:
+                n_max = int(10.0 ** rng.uniform(0.0, 4.0))
+                N = 10.0 ** rng.uniform(0.0, 300.0)
+            params = EnsembleParams(N, alpha, k)
+            eps = 10.0 ** rng.uniform(-12.0, math.log10(0.999))
+            n, total = _pick_n_and_sum(params, eps, n_max)
+            want_n, want_total = pick_n_and_sum_full_scan(params, eps, n_max)
+            assert (n, total.hex()) == (want_n, want_total.hex()), (params, eps, n_max)
+            if n_max > 2 and _pair_term(params, 1) == 0.0 < _pair_term(params, n_max - 1):
+                inside += 1
+            stops.add("cap" if n == n_max else "budget")
+        assert inside >= 1000 and stops == {"cap", "budget"}
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.5])
+    @pytest.mark.parametrize("n_max", [1, 2, 10_000])
+    def test_every_term_one_matches_full_scan(self, eps, n_max):
+        """At k = 1e20, i + k and i + 1 + k are one float, so every term is 1.0."""
+        params = EnsembleParams(1e300, 1.1, 1e20)
+        assert _pair_term(params, 1) == _pair_term(params, n_max) == 1.0
+        assert _pick_n_and_sum(params, eps, n_max) == pick_n_and_sum_full_scan(params, eps, n_max)
 
     def test_epsilon_equal_to_a_prefix_sum(self):
         """A budget met with equality admits the prefix."""

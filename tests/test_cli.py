@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -248,6 +249,19 @@ class TestPickN:
             1_000_000, True, 0.0)
         assert peak < 1_000_000
 
+    def test_underflowed_terms_are_skipped(self, capsys):
+        """Every term to --n-max 10^9 underflows to 0, and pick-n starts past
+        them: a scan over each would take about 20 minutes."""
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "pick-n", "--N", "1e300", "--alpha", "1.01", "--n-max", "1000000000"
+        )
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out)
+        assert (code, payload["n"], payload["cap_reached"], payload["bonferroni_sum"]) == (
+            0, 1_000_000_000, True, 0.0)
+        assert elapsed < 5.0
+
 
 class TestSimulate:
     def test_deterministic_bytes(self, capsys):
@@ -437,6 +451,16 @@ class TestAnalyze:
         )
         assert code == 1
         assert "error" in err
+
+    def test_default_format_reads_a_label_spanning_lines(self, capsys, tmp_path):
+        """The auto sniff finds the tab after the first label's line break."""
+        table = tmp_path / "table.tsv"
+        table.write_text('"a\r\nb"\t9\nc\t3\n', encoding="utf-8", newline="")
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", str(table), "--alpha", "1.5", "--window", "1", "2"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts_summary"]["top"] == [[1, "a\r\nb", 9.0], [2, "c", 3.0]]
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -198,10 +199,10 @@ class TestLoadRankCounts:
 
 
 # Characters that str.splitlines ends a line at but csv and io do not, then
-# line breaks, quotes and both delimiters
+# line breaks, quotes, both delimiters, and Latin-1, CJK and astral letters
 _LABEL_CHARS = [
     "a", "b", " ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
-    ",", '"', "\t", "\n", "\r\n",
+    ",", '"', "\t", "\n", "\r\n", "\xe9", "\u4e2d", "\U0001f600",
 ]
 
 
@@ -267,6 +268,41 @@ class TestTableStream:
                 assert table.labels == tuple(rows[j][0].strip() for j in order)
                 assert table.counts == tuple(float(rows[j][1]) for j in order)
 
+    def test_auto_sniff_reads_the_whole_first_record(self, tmp_path):
+        """The first record's tab may follow a quoted label's line break, a
+        stray quote in a CSV label leaves its quotes open to the end, and a
+        tab past the first record says nothing."""
+        for text, labels in [
+            ('"a\r\nb"\t9\nc\t3\n', ("a\r\nb", "c")),
+            ('a"b,9\nc,3\n', ('a"b', "c")),
+            ('a,9\n"b\tc",3\n', ("a", "b\tc")),
+        ]:
+            path = tmp_path / "table.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            for source in (
+                path, io.StringIO(text, newline=""), io.StringIO(text, newline="").readlines()
+            ):
+                table = load_rank_counts(source, fmt="auto")
+                assert (table.labels, table.counts) == (labels, (9.0, 3.0))
+
+    def test_auto_sniff_stops_at_the_field_limit(self, tmp_path):
+        """A stray quote in the first label leaves the quotes open to the end
+        of a 10^5-row CSV; the sniff stops past csv's field limit and does
+        not take the table into memory, so the parse peaks under 170 bytes per row."""
+        n = 100_000
+        path = tmp_path / "table.csv"
+        counts = _poisson_zipf_counts(n, 1.25e7, seed=1)
+        path.write_text('w"' + "".join(f"w{j:06d},{c}\n" for j, c in enumerate(counts)),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_rank_counts(path, fmt="auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n and 'w"w000000' in table.labels
+        assert peak < 170 * n
+
     def test_parse_by_path_memory_per_row(self, tmp_path):
         """Parsing a 10^5-row table by path peaks under 170 bytes per row:
         csv takes the file a line at a time, and no copy of the text is made."""
@@ -282,6 +318,68 @@ class TestTableStream:
             tracemalloc.stop()
         assert len(table) == n
         assert peak < 170 * n
+
+
+# Labels by script, each set with an empty label, for tables of counts 9, 8, ...
+_LABEL_SETS = {
+    "ascii": ["the", "", "of", "and"],
+    "latin-1": ["caf\xe9", "", "na\xefve", "\xc6sir"],
+    "cjk": ["\u7684", "", "\u4e00\u4e2a", "\u65e5\u672c\u8a9e"],
+    "astral": ["\U0001f600", "", "\U0001d11ex", "a\U00010348"],
+    "quoted": ["a\nb", "", "c\td", "e\r\nf"],  # written as quoted fields
+}
+
+
+class TestLabelColumn:
+    """A parsed table's labels read like the tuple of them."""
+
+    @staticmethod
+    def _load(tmp_path, labels):
+        out = io.StringIO(newline="")
+        csv.writer(out, delimiter="\t").writerows((lab, 9 - j) for j, lab in enumerate(labels))
+        path = tmp_path / "table.tsv"
+        path.write_text(out.getvalue(), encoding="utf-8", newline="")
+        return load_rank_counts(path)
+
+    @pytest.mark.parametrize("name", sorted(_LABEL_SETS))
+    def test_reads_like_the_tuple(self, tmp_path, name):
+        want = tuple(_LABEL_SETS[name])
+        table = self._load(tmp_path, want)
+        got = table.labels
+        assert len(got) == len(want) and list(got) == list(want)
+        assert [got[i] for i in range(-len(want), len(want))] == list(want + want)
+        for i in (len(want), -len(want) - 1, 10**20):
+            with pytest.raises(IndexError):
+                got[i]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                    slice(3, 1), slice(0, 100, 2), slice(-3, -1)):
+            assert type(got[cut]) is tuple and got[cut] == want[cut]
+        assert list(reversed(got)) == list(reversed(want))
+        assert want[2] in got and got.index(want[2]) == 2 and got.count("") == 1
+        assert got == want and want == got and not got != want and not want != got
+        other = want[:-1] + ("zz",)
+        assert got != other and other != got and got != want[:-1] and got != list(want)
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        assert pickle.loads(pickle.dumps(got)) == got == want
+        rebuilt = RankedCounts(counts=table.counts, labels=want, total=table.total)
+        assert rebuilt.labels is want
+        assert rebuilt == table and table == rebuilt and hash(rebuilt) == hash(table)
+
+    def test_table_memory_per_row(self, tmp_path):
+        """A seeded 10^5-row table loaded by path holds under 40 bytes per row:
+        its labels are one string and an array of offsets, not a str each."""
+        n = 100_000
+        path = tmp_path / "table.tsv"
+        counts = _poisson_zipf_counts(n, 1.25e7, seed=1)
+        path.write_text("".join(f"w{j:06d}\t{c}\n" for j, c in enumerate(counts)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_rank_counts(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n
+        assert held < 40 * n
 
 
 class TestAdjacentSe:
