@@ -156,25 +156,30 @@ def poisson_lower_tail_bound(lam: float, t: float) -> float:
 _UNDERFLOW_EXPONENT = 800.0
 
 
-def _pair_term(params: EnsembleParams, i: int) -> float:
-    # skellam_order_bound(lambda_i, lambda_{i+1}) written directly in (i+k);
-    # the exponent is _pair_exponent's, written out since this runs per term
-    half = params.alpha / 2.0
-    diff = (i + params.k) ** -half - (i + 1 + params.k) ** -half
-    return math.exp(-params.N * diff * diff)
+def _check_ranks(params: EnsembleParams, last: int) -> None:
+    # from 2^53 on floats are 2 or more apart: i + k and i + 1 + k can round
+    # to one float, and the pair term to exp(0) = 1.0
+    if last >= 2.0**53 - params.k:
+        raise DomainError(f"rank {last} plus k = {params.k} reaches 2^53, past float resolution")
 
 
 def _pair_exponent(params: EnsembleParams, i: int) -> float:
-    # the x of _pair_term's exp(-x), rounded as it rounds
+    # the x of skellam_order_bound(lambda_i, lambda_{i+1}) = exp(-x), written
+    # directly in (i+k)
     half = params.alpha / 2.0
     diff = (i + params.k) ** -half - (i + 1 + params.k) ** -half
     return params.N * diff * diff
+
+
+def _pair_term(params: EnsembleParams, i: int) -> float:
+    return math.exp(-_pair_exponent(params, i))
 
 
 def _pair_terms(params: EnsembleParams, n: int) -> Iterator[float]:
     """The terms of :func:`prefix_error_bound`, for i = 1..n-1, made as they are read."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_ranks(params, n)
     return (_pair_term(params, i) for i in range(1, n))
 
 
@@ -184,6 +189,7 @@ def prefix_error_bound(n: int, params: EnsembleParams) -> BoundReport:
     Term i (for i = 1..n-1) is the Skellam Chernoff bound on
     Pr(X_{i+1} >= X_i); their sum bounds the probability that the sampled
     counts fail to satisfy X_1 > X_2 > ... > X_n.  n = 1 gives an empty sum.
+    n + k must stay below 2^53, where consecutive ranks are distinct floats.
     """
     terms = tuple(_pair_terms(params, n))
     total = math.fsum(terms)
@@ -210,7 +216,8 @@ def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
     the scan stops at the first n whose sum exceeds epsilon.  The empty bound
     for n = 1 is 0, hence the result is always >= 1.  A result equal to
     n_max means the cap stopped the scan, and a larger prefix might still
-    qualify; callers report that as a field.
+    qualify; callers report that as a field.  n_max + k must stay below
+    2^53, as in :func:`prefix_error_bound`.
     """
     return _pick_n_and_sum(params, epsilon, n_max)[0]
 
@@ -221,6 +228,7 @@ def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_ranks(params, n_max)
     # The terms grow with i, and the leading ones that underflow are 0.0:
     # bisection finds the first rank whose exponent is below
     # _UNDERFLOW_EXPONENT, and the scan and every sum start there, which

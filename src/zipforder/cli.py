@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from functools import partial
 from typing import Iterable, Iterator
 
 from .bounds import EnsembleParams, _pair_terms, _pick_n_and_sum, threshold_n_prime
@@ -118,34 +117,22 @@ def _emit(pieces: Iterable[str], out_path: str) -> None:
             fh.writelines(pieces)
 
 
-def _json(payload) -> Iterator[str]:
-    """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces."""
-    yield from _json_value(payload, "\n")
-    yield "\n"
+def _json(payload, columns: Iterable[tuple[str, Iterable[str], int]] = ()) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces.
 
-
-def _json_value(value, nl: str) -> Iterator[str]:
-    # ``nl`` is a newline and the indent of the line ``value`` starts on.  A
-    # long column comes rendered already, as a partial of corpus._indented.
-    inner = nl + "  "
-    if callable(value):
-        yield from value(nl)
-    elif isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key, item in value.items():
-            yield sep + json.dumps({key: 0})[1:-4] + ": "  # keys as json.dumps writes them
-            yield from _json_value(item, inner)
-            sep = "," + inner
-        yield nl + "}"
-    elif isinstance(value, (list, tuple)) and value:
-        sep = "[" + inner
-        for item in value:
-            yield sep
-            yield from _json_value(item, inner)
-            sep = "," + inner
-        yield nl + "]"
-    else:
-        yield json.dumps(value)  # a scalar, or an empty list or dict
+    ``columns`` holds a (key, slices, depth) triple for each long column, in
+    the order the text holds their keys: the key holds an empty list in
+    ``payload``, and the slices and depth go to :func:`corpus._indented`.
+    A key is found as a space, its JSON text and ``: []``; nothing but a key
+    matches that, since json.dumps escapes every quote inside a string.
+    """
+    text = json.dumps(payload, indent=2) + "\n"
+    for key, slices, depth in columns:
+        key_text = f" {json.dumps(key)}: "
+        head, text = text.split(key_text + "[]", 1)
+        yield head + key_text
+        yield from _indented(slices, depth, head[head.rindex("\n"):] + " ")
+    yield text
 
 
 def _csv(header: str, rows) -> Iterator[str]:
@@ -184,17 +171,16 @@ def _cmd_bound(args) -> Iterable[str]:
     if args.format == "csv":
         return _numbered_csv("i,term", terms)
     total = math.fsum(_pair_terms(params, args.n))
-    return _json(
-        {
-            "n": args.n,
-            "N": args.N,
-            "alpha": args.alpha,
-            "k": args.k,
-            "per_pair_terms": partial(_indented, terms, 1),
-            "bonferroni_sum": total,
-            "clamped_probability": min(total, 1.0),
-        }
-    )
+    payload = {
+        "n": args.n,
+        "N": args.N,
+        "alpha": args.alpha,
+        "k": args.k,
+        "per_pair_terms": [],
+        "bonferroni_sum": total,
+        "clamped_probability": min(total, 1.0),
+    }
+    return _json(payload, [("per_pair_terms", terms, 1)])
 
 
 def _cmd_pick_n(args) -> Iterable[str]:
@@ -247,16 +233,17 @@ def _cmd_analyze(args) -> Iterable[str]:
     if args.se_csv:
         with open(args.se_csv, "w", encoding="utf-8") as fh:
             fh.writelines(_numbered_csv("i,se", se))
-    # to_dict builds the long columns as lists; emptied first, it builds no row
+    # to_dict builds the long columns as lists; emptied first, it builds no
+    # row, and _json writes each column in place of its empty list
     plot = report.zipf_points
     payload = replace(
         report, adjacent_se=(), zipf_points=replace(plot, ln_counts=(), skipped_ranks=range(0))
     ).to_dict()
-    payload["adjacent_se"] = partial(_indented, se, 1)
-    payload["zipf_points"]["points"] = partial(_indented, points, 2)
-    payload["zipf_points"]["skipped_ranks"] = partial(
-        _indented, _column_text(plot.skipped_ranks), 1)
-    return _json(payload)
+    return _json(payload, [
+        ("adjacent_se", se, 1),
+        ("points", points, 2),
+        ("skipped_ranks", _column_text(plot.skipped_ranks), 1),
+    ])
 
 
 def main(argv: list[str] | None = None) -> int:

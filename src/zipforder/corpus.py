@@ -215,6 +215,21 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _records(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """The records csv reads from ``lines`` that are neither blank nor a '#'
+    comment, as the physical line each starts on and its stripped fields."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    start = 1  # the line the next record starts on
+    try:
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
+            fields = [f.strip() for f in row]
+            if any(fields) and not fields[0].startswith("#"):
+                yield line_no, fields
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ParseError(str(exc), line=start) from None
+
+
 def load_rank_counts(
     source, fmt: str = "tsv", total: float | None = None
 ) -> RankedCounts:
@@ -222,8 +237,9 @@ def load_rank_counts(
 
     Records are sorted by count descending and ranks reassigned 1..len; the
     sort is stable, so ties keep their input order.  ``total`` overrides the
-    table sum for truncated tables.  ``fmt="auto"`` picks TSV when the first
-    record that is not blank or a '#' comment holds a tab, and CSV otherwise.
+    table sum for truncated tables.  ``fmt="auto"`` picks TSV when csv, reading
+    with tabs, finds more than one field in the first record that is not
+    blank or a '#' comment, and CSV otherwise.
 
     ``source`` is a path, read as UTF-8, a text stream or an iterable of
     lines; a quoted field may span lines, and an error names the physical
@@ -238,29 +254,15 @@ def load_rank_counts(
     labels: list[str] = []
     counts: list[int] = []
     header_skipped = False
-    start = 1  # the line the next record starts on
     try:
         if fmt == "auto":
-            # the first record decides, and a quoted field may carry it over
-            # lines: read on while its quotes are open, up to csv's field limit
-            head, size, quotes, fmt = [], 0, 0, "csv"
-            for line in lines:
-                head.append(line)
-                if not size and (not line.strip() or line.lstrip().startswith("#")):
-                    continue
-                size += len(line)
-                quotes += line.count('"')
-                if "\t" in line:
-                    fmt = "tsv"
-                if fmt == "tsv" or quotes % 2 == 0 or size > csv.field_size_limit():
-                    break
+            # csv reads the first record with tabs, over as many lines as it
+            # spans; those lines are kept in head and read again
+            head: list[str] = []
+            first = next(_records((head.append(line) or line for line in lines), "\t"), None)
+            fmt = "tsv" if first and len(first[1]) > 1 else "csv"
             lines = itertools.chain(head, lines)
-        reader = csv.reader(lines, delimiter="\t" if fmt == "tsv" else ",")
-        for row in reader:
-            line_no, start = start, reader.line_num + 1
-            fields = [f.strip() for f in row]
-            if not any(fields) or fields[0].startswith("#"):
-                continue
+        for line_no, fields in _records(lines, "\t" if fmt == "tsv" else ","):
             if len(fields) == 2:
                 label, count_field = fields
             elif len(fields) == 3:
@@ -295,8 +297,6 @@ def load_rank_counts(
         labels = list(map(labels.__getitem__, order))
         text = "".join(labels)
         text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
-    except csv.Error as exc:  # e.g. a field past csv's size limit
-        raise ParseError(str(exc), line=start) from None
     except UnicodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from None
     if not counts:

@@ -309,11 +309,23 @@ class TestPickN:
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5])
     @pytest.mark.parametrize("n_max", [1, 2, 10_000])
-    def test_every_term_one_matches_full_scan(self, eps, n_max):
-        """At k = 1e20, i + k and i + 1 + k are one float, so every term is 1.0."""
+    def test_ranks_past_float_resolution_are_refused(self, eps, n_max):
+        """At k = 1e20, i + k and i + 1 + k are one float, so every term would
+        be 1.0: pick_n and prefix_error_bound refuse the ranks."""
         params = EnsembleParams(1e300, 1.1, 1e20)
         assert _pair_term(params, 1) == _pair_term(params, n_max) == 1.0
-        assert _pick_n_and_sum(params, eps, n_max) == pick_n_and_sum_full_scan(params, eps, n_max)
+        with pytest.raises(DomainError, match=r"reaches 2\^53"):
+            _pick_n_and_sum(params, eps, n_max)
+        with pytest.raises(DomainError, match=r"reaches 2\^53"):
+            prefix_error_bound(n_max, params)
+
+    @pytest.mark.parametrize("k, last", [(0.0, 2**53 - 1), (1.0, 2**53 - 2), (2**52, 2**52 - 1)])
+    def test_rank_limit_is_2_to_the_53(self, k, last):
+        """The last rank plus k below 2^53 is allowed, and one rank more is refused."""
+        params = EnsembleParams(1e7, 1.106, k)
+        assert pick_n(params, 0.01, last) == pick_n(params, 0.01, 1000)
+        with pytest.raises(DomainError, match=r"reaches 2\^53"):
+            pick_n(params, 0.01, last + 1)
 
     def test_epsilon_equal_to_a_prefix_sum(self):
         """A budget met with equality admits the prefix."""

@@ -27,6 +27,7 @@ from zipforder import (
     cli,
     corpus,
     load_rank_counts,
+    pick_n,
     prefix_error_bound,
     write_se_csv,
     write_zipf_csv,
@@ -462,6 +463,16 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert json.loads(out)["counts_summary"]["top"] == [[1, "a\r\nb", 9.0], [2, "c", 3.0]]
 
+    def test_default_format_reads_a_quoted_tab_as_csv(self, capsys, tmp_path):
+        """A tab inside the first record's quoted label is no delimiter."""
+        table = tmp_path / "table.csv"
+        table.write_text('"a\tb",9\nc,3\n', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", str(table), "--alpha", "1.5", "--window", "1", "2"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts_summary"]["top"] == [[1, "a\tb", 9.0], [2, "c", 3.0]]
+
 
 @pytest.mark.filterwarnings("error")
 class TestQuietSuccess:
@@ -515,6 +526,35 @@ class TestFloatEdge:
         assert len(err.splitlines()) == 1
 
 
+class TestRankResolution:
+    """From 2^53 on, rank + k and rank + 1 + k can be one float, whose pair
+    term reads 1.0; the commands that sum pair terms exit 1 there."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pick-n", "--N", "1e300", "--alpha", "1.1", "--k", "1e20"),
+            ("bound", "--N", "1e300", "--alpha", "1.1", "--k", "1e20", "--n", "3"),
+            ("bound", "--N", "1e300", "--alpha", "1.1", "--k", "1e20", "--n", "3",
+             "--format", "csv"),
+            ("analyze", "--input", BNC_TOP10, "--alpha", "1.106", "--k", "1e20"),
+            ("pick-n", "--N", "1e7", "--alpha", "1.106", "--n-max", str(2**53)),
+        ],
+        ids=["pick-n", "bound-json", "bound-csv", "analyze", "pick-n-cap"],
+    )
+    def test_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error: rank ") and err.count("\n") == 1
+        assert "reaches 2^53" in err
+
+    def test_last_rank_below_the_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pick-n", "--N", "1e7", "--alpha", "1.106", "--n-max", str(2**53 - 1))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == pick_n(EnsembleParams(1e7, 1.106), 0.01, 1000)
+
+
 class TestOutputFile:
     def test_out_path(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -559,8 +599,13 @@ class TestHelp:
             assert command in out
 
 
-# Payloads mix every JSON-encodable kind a report could hold, including the
-# separators the column renderers write, inside strings.
+# Payloads mix every JSON-encodable kind a report could hold.  Their strings,
+# keys included, hold the separators the column renderers write and the text
+# cli._json finds a column's key by, so that only the key itself may match.
+_COLUMN_KEYS = ("adjacent_se", "points", "skipped_ranks", "per_pair_terms")
+_TRAPS = [", ", "], [", "a\nb", '"q"', "\u00e9\u6f22", "[1, 2]", '"adjacent_se": []',
+          ' "points": []', '\n  "', '\n  "skipped_ranks": []', '"per_pair_terms',
+          '{"adjacent_se": [], "points": []}', '\\"points\\": []']
 _SCALARS = (
     st.integers(-(10**30), 10**30)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -568,9 +613,12 @@ _SCALARS = (
     | st.booleans()
     | st.none()
     | st.text()
-    | st.sampled_from([", ", "], [", "a\nb", '"q"', "\u00e9\u6f22", "[1, 2]"])
+    | st.sampled_from(_TRAPS)
 )
-_KEYS = st.text() | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
+_KEYS = (
+    st.text().filter(lambda key: key not in _COLUMN_KEYS and not key.startswith("column"))
+    | st.sampled_from(_TRAPS) | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
+)
 _NUMBERS = st.integers(-(10**30), 10**30) | st.floats()
 _FINITE = st.integers(-(10**30), 10**30) | st.floats(allow_nan=False, allow_infinity=False)
 _LINES = (ReferenceLine(-1.0, 0.5), ReferenceLine(-1.1, -0.5))
@@ -592,42 +640,53 @@ class _Column:
         return cls([list(row) for row in plot.points], 2, partial(_point_text, plot))
 
 
-def _leaves(payload, column):
-    """The payload with each _Column leaf replaced by ``column(leaf)``."""
-    if isinstance(payload, _Column):
-        return column(payload)
-    if isinstance(payload, dict):
-        return {key: _leaves(item, column) for key, item in payload.items()}
-    if isinstance(payload, (list, tuple)):  # tuples stay tuples for cli._json
-        return type(payload)(_leaves(item, column) for item in payload)
-    return payload
-
-
-_PAYLOADS = st.recursive(
+_COLUMNS = (
+    st.lists(_FINITE).map(_Column.of_numbers)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(
+        _Column.of_points)
+)
+_TREES = st.recursive(
     _SCALARS
     | st.lists(_NUMBERS)
     | st.lists(st.lists(_NUMBERS, max_size=4), max_size=6)
-    | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple), max_size=6)
-    | st.lists(_FINITE).map(_Column.of_numbers)
-    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(
-        _Column.of_points),
+    | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple), max_size=6),
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
-    | st.dictionaries(_KEYS, inner, max_size=4),
+    | st.dictionaries(_KEYS, inner | _COLUMNS, max_size=5),
     max_leaves=40,
 )
+_PAYLOADS = st.dictionaries(_KEYS, _TREES | _COLUMNS, max_size=6) | _TREES
 
 
-def _plain(payload):
-    """The payload as json.dumps sees it: each column a list."""
-    return _leaves(payload, lambda c: list(c.values))
+def _split(payload):
+    """The payload as json.dumps sees it, the payload cli._json takes, and
+    its columns: each _Column, a dict value, gets a key of its own, named
+    in document order, and holds its list or an empty one."""
+    columns = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            plain, empty = {}, {}
+            for key, item in value.items():
+                if isinstance(item, _Column):
+                    j = len(columns)
+                    key = _COLUMN_KEYS[j] if j < len(_COLUMN_KEYS) else f"column{j}"
+                    columns.append((key, item))
+                    plain[key], empty[key] = list(item.values), []
+                else:
+                    plain[key], empty[key] = walk(item)
+            return plain, empty
+        if isinstance(value, (list, tuple)):
+            pairs = [walk(item) for item in value]
+            return [p for p, _ in pairs], [e for _, e in pairs]
+        return value, value
+
+    return (*walk(payload), columns)
 
 
-def _pieces(payload) -> list[str]:
-    """The pieces cli._json writes for a payload whose columns come pre-rendered."""
-    return list(cli._json(
-        _leaves(payload, lambda c: partial(corpus._indented, c.render(), c.depth))))
+def _pieces(empty, columns) -> list[str]:
+    """The pieces cli._json writes for a payload whose columns are rendered as it writes."""
+    return list(cli._json(empty, [(key, c.render(), c.depth) for key, c in columns]))
 
 
 class TestStreamedJson:
@@ -635,23 +694,25 @@ class TestStreamedJson:
 
     @settings(max_examples=300, deadline=None)
     @given(_PAYLOADS)
+    @example({'"adjacent_se': [], "x": {'"adjacent_se": []': _Column.of_numbers([1.5])}})
     def test_matches_json_dumps(self, payload):
-        expected = json.dumps(_plain(payload), indent=2) + "\n"
+        plain, empty, columns = _split(payload)
+        expected = json.dumps(plain, indent=2) + "\n"
         with pytest.MonkeyPatch.context() as mp:
             for chunk in (1, 2, corpus._CHUNK):  # small slices split short columns too
                 mp.setattr(corpus, "_CHUNK", chunk)
-                assert "".join(_pieces(payload)) == expected
+                assert "".join(_pieces(empty, columns)) == expected
 
     def test_lists_longer_than_two_slices(self):
         n = 2 * corpus._CHUNK + 7
-        payload = {
+        plain, empty, columns = _split({
             "flat": _Column.of_numbers([i * 0.5 if i % 3 else -i for i in range(n)] + [-0.0]),
-            "rows": _Column.of_points([0.25 * i - 9.0 for i in range(n)]),
+            "nested": {"rows": _Column.of_points([0.25 * i - 9.0 for i in range(n)])},
             "ints": _Column.of_numbers(range(10**29, 10**29 + n)),
             "plain": [math.nan, -math.inf, 1, [2.5, -0.0]],
-        }
-        pieces = _pieces(payload)
-        assert "".join(pieces) == json.dumps(_plain(payload), indent=2) + "\n"
+        })
+        pieces = _pieces(empty, columns)
+        assert "".join(pieces) == json.dumps(plain, indent=2) + "\n"
         assert max(map(len, pieces)) < 200 * corpus._CHUNK
 
 
@@ -697,14 +758,13 @@ class TestAnalyzeBytes:
         n = 100_000
         se = tuple(i / 7.0 for i in range(n))
         plot = ZipfPlotData(tuple(0.25 * i for i in range(1, n + 1)), range(0), _LINES)
-        payload = {  # rendered while written, as analyze's columns are
-            "adjacent_se": partial(corpus._indented, _column_text(se), 1),
-            "zipf_points": {"points": partial(corpus._indented, _point_text(plot), 2)},
-        }
+        payload = {"adjacent_se": [], "zipf_points": {"points": []}}
+        columns = [  # rendered while written, as analyze's columns are
+            ("adjacent_se", _column_text(se), 1), ("points", _point_text(plot), 2)]
         target = tmp_path / "report.json"
         tracemalloc.start()
         try:
-            cli._emit(cli._json(payload), str(target))
+            cli._emit(cli._json(payload, columns), str(target))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -269,13 +269,14 @@ class TestTableStream:
                 assert table.counts == tuple(float(rows[j][1]) for j in order)
 
     def test_auto_sniff_reads_the_whole_first_record(self, tmp_path):
-        """The first record's tab may follow a quoted label's line break, a
-        stray quote in a CSV label leaves its quotes open to the end, and a
-        tab past the first record says nothing."""
+        """The first record's tab may follow a quoted label's line break, and
+        a quote inside a CSV label, a tab past the first record and a tab in
+        a quoted label say nothing."""
         for text, labels in [
             ('"a\r\nb"\t9\nc\t3\n', ("a\r\nb", "c")),
             ('a"b,9\nc,3\n', ('a"b', "c")),
             ('a,9\n"b\tc",3\n', ("a", "b\tc")),
+            ('"a\tb",9\nc,3\n', ("a\tb", "c")),
         ]:
             path = tmp_path / "table.txt"
             path.write_text(text, encoding="utf-8", newline="")
@@ -285,10 +286,29 @@ class TestTableStream:
                 table = load_rank_counts(source, fmt="auto")
                 assert (table.labels, table.counts) == (labels, (9.0, 3.0))
 
+    @pytest.mark.parametrize("text", [
+        '# it\'s "a list", of words\n\na\t9\nb\t3\n',
+        '#\tword\t"count"\n# "a\tb"\na,9\nb,3\n',
+        '# x\t"y\nz"\na\t9\nb\t3\n',  # the tab dialect reads this comment over two lines
+        '"# a\tb"\n  # c, d\na,9\nb,3\n',
+    ])
+    def test_auto_sniff_skips_comments_with_quotes_and_tabs(self, text):
+        fmt = "tsv" if "a\t9" in text else "csv"
+        table = load_rank_counts(io.StringIO(text, newline=""), fmt="auto")
+        assert (table.labels, table.counts) == (("a", "b"), (9.0, 3.0))
+        assert load_rank_counts(io.StringIO(text, newline=""), fmt=fmt) == table
+
+    @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
+    def test_oversize_first_record_after_a_comment(self, fmt):
+        """csv's error on a field past its limit names the line the record starts on."""
+        text = '# a list\n"' + "x" * (csv.field_size_limit() + 1) + '"\t5\nc\t3\n'
+        with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+            load_rank_counts(io.StringIO(text), fmt=fmt)
+
     def test_auto_sniff_stops_at_the_field_limit(self, tmp_path):
-        """A stray quote in the first label leaves the quotes open to the end
-        of a 10^5-row CSV; the sniff stops past csv's field limit and does
-        not take the table into memory, so the parse peaks under 170 bytes per row."""
+        """A stray quote in the first label of a 10^5-row CSV, where a count of
+        quotes would find them open to the end, does not take the table into
+        memory: the parse peaks under 170 bytes per row."""
         n = 100_000
         path = tmp_path / "table.csv"
         counts = _poisson_zipf_counts(n, 1.25e7, seed=1)
