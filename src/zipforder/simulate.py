@@ -132,8 +132,8 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
     low reference level tau = lambda at rank 2 n_focus is certified <= safety.
     Ranks beyond M then perturb prefix outcomes with probability <= safety
     and the infinite ensemble can be simulated on 1..M.  The candidates are
-    4 n_focus, then steps of max(1, M // 8); past the floor, a horizon above
-    2**20 raises ``ConfigurationError``.
+    4 n_focus, then steps of max(1, M // 8); a horizon above 2**20 raises
+    ``ConfigurationError``.
 
     Counts are integers, so X >= tau exactly when X >= t = ceil(tau) >= 1,
     and the certificate bounds the sum over i > M of Pr(X_i >= t) by the
@@ -157,10 +157,13 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
         raise DomainError(f"n_focus must be >= 1, got {n_focus}")
     if not (0.0 < safety < 1.0):
         raise DomainError(f"safety must lie in (0, 1), got {safety}")
-    t = math.ceil(params.mean_of(2 * n_focus))
-    s = t - 1.0 / params.alpha
     m = 4 * n_focus
-    while True:
+    # the floor is capped like every other candidate; past the cap nothing is
+    # computed, so a huge n_focus fails at once
+    if m <= _MAX_HORIZON:
+        t = math.ceil(params.mean_of(2 * n_focus))
+        s = t - 1.0 / params.alpha
+    while m <= _MAX_HORIZON:
         lam = params.mean_of(m + 1)
         if 0.0 < lam < s:
             r = (m + 1 + params.k) * (1.0 - lam / (t + 1.0)) / (
@@ -169,11 +172,10 @@ def truncation_index(params: EnsembleParams, n_focus: int, safety: float) -> int
             if poisson_upper_tail_bound(lam, t) * (1.0 + r) <= safety:
                 return m
         m += max(1, m // 8)
-        if m > _MAX_HORIZON:
-            raise ConfigurationError(
-                f"no horizon up to {_MAX_HORIZON} certifies safety {safety} "
-                f"for {params} at n_focus={n_focus}"
-            )
+    raise ConfigurationError(
+        f"no horizon up to {_MAX_HORIZON} certifies safety {safety} "
+        f"for {params} at n_focus={n_focus}"
+    )
 
 
 def _classify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

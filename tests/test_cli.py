@@ -2,10 +2,14 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -36,6 +40,7 @@ from zipforder.cli import main
 from zipforder.corpus import _CHUNK, _column_text, _point_text
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +328,16 @@ class TestSimulate:
         assert err.startswith("zipforder: error:")
         assert len(err.splitlines()) == 1
 
+    def test_floor_past_limit_exit_code(self, capsys):
+        """The floor 4 n_focus is capped like every horizon: 2**55 counts are never asked for."""
+        code, out, err = run_cli(
+            capsys, "simulate", "--N", "1e18", "--alpha", "3", "--reps", "3",
+            "--seed", "3", "--n-focus", str(2**53),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error: no horizon up to 1048576 ")
+        assert len(err.splitlines()) == 1
+
     def test_seed_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--N", "5e4", "--alpha", "1.3", "--reps", "5"])
@@ -597,6 +612,131 @@ class TestHelp:
         out = capsys.readouterr().out
         for command in ["threshold", "bound", "pick-n", "simulate", "analyze"]:
             assert command in out
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m zipforder.cli`` with ``argv``, run from the source tree."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "zipforder.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
+class TestProcess:
+    """The CLI as a process: entrypoint, the __main__ block and the frozen import heap."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("threshold", "--N", "1e7", "--alpha", "1.106"),
+            ("bound", "--N", "1e7", "--alpha", "1.106", "--n", "72"),
+            ("pick-n", "--N", "1e7", "--alpha", "1.106"),
+            ("simulate", "--N", "1e7", "--alpha", "1.106", "--reps", "50", "--seed", "12345"),
+            ("analyze", "--input", BNC_TOP10, "--alpha", "1.106", "--total", "1e8"),
+        ],
+        ids=["threshold", "bound", "pick-n", "simulate", "analyze"],
+    )
+    def test_bytes_match_main(self, capsys, argv):
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert proc.stdout == out.encode("utf-8")
+
+    def test_forked_workers_match_one(self, capsys):
+        argv = ("simulate", "--N", "5e4", "--alpha", "1.3", "--reps", "48",
+                "--seed", "7", "--n-focus", "10")
+        proc = run_process(*argv, "--workers", "2")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 0
+        assert proc.stdout == out.encode("utf-8")
+
+    def test_domain_error(self):
+        proc = run_process("threshold", "--N", "1e7", "--alpha", "0.9")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"zipforder: error: ")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_usage_error(self):
+        proc = run_process("threshold", "--N", "1e7")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"--alpha" in proc.stderr
+
+
+class TestEntrypoint:
+    def test_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == 7
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        code, _, _ = run_cli(capsys, "simulate", "--N", "5e4", "--alpha", "1.3",
+                             "--reps", "20", "--seed", "3", "--n-focus", "8")
+        assert code == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+# Values past each flag's domain, at the float range's ends and at 2**53, where
+# rank + k stops being exact.  Flags are written --flag=value, so that argparse
+# hands a leading "-" to the command instead of reading it as a flag.
+_REALS = st.sampled_from(["nan", "inf", "-inf", "-0", "0", "5e-324", "1e-3", "1.106", "3",
+                          "1e7", "1e18", "1e20", "1e308", str(2**53)])
+_RANKS = st.sampled_from(["-1", "0", "1", "72", str(2**53 - 1), str(2**53), str(10**30)])
+
+
+@st.composite
+def _ensemble_argvs(draw):
+    """Argument lists of threshold, bound, pick-n and simulate with hostile values."""
+    command = draw(st.sampled_from(["threshold", "bound", "pick-n", "simulate"]))
+    flags = {"N": _REALS, "alpha": _REALS}
+    if command != "threshold":
+        flags["k"] = _REALS
+    if command == "bound":
+        flags["n"] = _RANKS.filter(lambda n: n != str(2**53 - 1))  # 2**53 terms to write
+    elif command == "pick-n":
+        flags["epsilon"] = _REALS | st.just("0.01")
+        flags["n-max"] = _RANKS
+    elif command == "simulate":
+        flags["seed"] = st.sampled_from(["-1", "0", "3", str(2**64 + 3)])
+        flags["reps"] = st.sampled_from(["-1", "0", "1", "3"])
+        flags["n-focus"] = _RANKS
+    required = {"N", "alpha", "n", "seed"}
+    argv = [command]
+    for flag, values in flags.items():
+        if flag in required or draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--format=csv")
+    return argv
+
+
+class TestEnsembleFlags:
+    """Whatever the flags, a command exits 0, 1 or 2, and 1 with one error line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ensemble_argvs())
+    @example(["simulate", "--N=1e18", "--alpha=3", "--reps=3", "--seed=3",
+              f"--n-focus={2**53}"])  # a floor of 2**55 counts
+    def test_exit_code_and_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert err.count("zipforder: error:") <= 1
+        if code == 0:
+            assert err == ""
+        elif code == 1:
+            assert out.getvalue() == ""
+            assert err.startswith("zipforder: error: ") and err.count("\n") == 1
 
 
 # Payloads mix every JSON-encodable kind a report could hold.  Their strings,

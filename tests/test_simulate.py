@@ -19,6 +19,7 @@ from zipforder import (
     prefix_error_bound,
     replicate_stream,
     run_experiment,
+    threshold_n_prime,
     truncation_index,
 )
 from zipforder.simulate import _ERROR_KINDS, _MAX_MEAN, _classify, _means, _simulate_chunk
@@ -126,6 +127,27 @@ class TestTruncationIndex:
     def test_limit_named_in_error(self, N, alpha):
         with pytest.raises(ConfigurationError, match="1048576"):
             truncation_index(EnsembleParams(N, alpha), 1, 1e-6)
+
+    @pytest.mark.parametrize(
+        "N, alpha, k, n_focus",
+        [
+            (1e18, 3.0, 0.0, 2**53),  # the floor alone would hold 2**55 counts
+            (1e24, 1.01, 1e5, None),  # ceil(n') = 22,718,841
+            (9e18, 1.001, 0.0, None),  # ceil(n') = 534,838
+            (1e18, 3.0, 0.0, 10**400),  # an int past the float range
+        ],
+    )
+    def test_floor_past_limit(self, monkeypatch, N, alpha, k, n_focus):
+        """A floor 4 n_focus above 2**20 raises before any candidate is tried."""
+        def tail_bound(*args):
+            raise AssertionError("a candidate was tried")
+
+        monkeypatch.setattr("zipforder.simulate.poisson_upper_tail_bound", tail_bound)
+        if n_focus is None:
+            n_focus = math.ceil(threshold_n_prime(N, alpha).n_prime)
+        assert 4 * n_focus > 2**20
+        with pytest.raises(ConfigurationError, match="1048576"):
+            truncation_index(EnsembleParams(N, alpha, k), n_focus, 1e-6)
 
     @pytest.mark.parametrize(
         "N, alpha, k, n_focus, safety",
