@@ -91,11 +91,6 @@ class ThresholdReport:
     log_N: float
 
 
-def _require_k_zero(params: EnsembleParams, op: str) -> None:
-    if params.k != 0.0:
-        raise DomainError(f"{op} is only defined for k = 0, got k = {params.k}")
-
-
 def skellam_order_bound(lam: float, nu: float) -> float:
     """Chernoff bound on Pr(X <= Y) for independent X~Poi(lam), Y~Poi(nu).
 
@@ -197,15 +192,22 @@ def prefix_error_bound(n: int, params: EnsembleParams) -> BoundReport:
 
 
 def prefix_error_closed_form(n: int, params: EnsembleParams) -> float:
-    """Looser closed form n exp(-(N alpha^2 / 4) n^(-alpha-2)), k = 0 only.
+    """Looser closed form n exp(-(N alpha^2 / 4) (n+k)^(-alpha-2)).
 
     Dominates the sharper Bonferroni sum because every pairwise exponent is
     replaced by the smallest one over the prefix.
     """
-    _require_k_zero(params, "prefix_error_closed_form")
     if n < 2:
         raise DomainError(f"closed form needs n >= 2, got {n}")
-    expo = (params.N * params.alpha**2 / 4.0) * n ** (-params.alpha - 2.0)
+    try:
+        expo = (params.N * params.alpha**2 / 4.0) * (n + params.k) ** (-params.alpha - 2.0)
+    except OverflowError:  # alpha^2 passes the float range
+        expo = math.nan
+    if not math.isfinite(expo):
+        # N alpha^2 / 4 passed the float range: the same exponent in logs
+        log_expo = (math.log(params.N) + 2.0 * math.log(params.alpha) - math.log(4.0)
+                    - (params.alpha + 2.0) * math.log(n + params.k))
+        expo = math.exp(min(log_expo, 709.0))  # past e^709 the result is 0 anyway
     return n * math.exp(-expo)
 
 
@@ -286,13 +288,14 @@ def threshold_n_prime(N: float, alpha: float) -> ThresholdReport:
 
 
 def jumper_bound(n: int, tau: float, params: EnsembleParams) -> float:
-    """Bound on Pr(max over ranks i > n of X_i exceeds the level tau), k = 0 only.
+    """Bound on Pr(max over ranks i > n of X_i exceeds the level tau).
 
     Sums per-rank upper tails, majorises the sum by a gamma integral and
     bounds the resulting ratio of gamma values with Gautschi's inequality:
     (N^(1/alpha)/alpha) ((tau+1)/(tau+1-lambda_n)) (tau^(-1/alpha)/(tau-1/alpha)).
+    The shift k enters only through lambda_n: x + k = (N/u)^(1/alpha) maps
+    the ranks past n onto means u in (0, lambda_n].
     """
-    _require_k_zero(params, "jumper_bound")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if math.isinf(tau) or math.isnan(tau):
@@ -303,21 +306,33 @@ def jumper_bound(n: int, tau: float, params: EnsembleParams) -> float:
         raise DomainError(f"jumper level must satisfy tau >= lambda_n={lam_n}, got {tau}")
     if tau <= inv_alpha:
         raise DomainError(f"jumper level must exceed 1/alpha={inv_alpha}, got {tau}")
-    return (
+    # tau + 1 - lambda_n is at least 1; from 2^53 on tau + 1 can round to
+    # tau = lambda_n, and the difference to 0
+    gap = tau + 1.0 - lam_n or 1.0
+    bound = (
         (params.N**inv_alpha / params.alpha)
-        * ((tau + 1.0) / (tau + 1.0 - lam_n))
+        * ((tau + 1.0) / gap)
         * (tau**-inv_alpha / (tau - inv_alpha))
     )
+    if math.isfinite(bound):
+        return bound
+    # the first two factors passed the float range (and the third may have
+    # underflowed to 0): the same product in logs, capped far above 1
+    log_bound = (
+        math.log(params.N) * inv_alpha - math.log(params.alpha)
+        + math.log(tau + 1.0) - math.log(gap)
+        - math.log(tau) * inv_alpha - math.log(tau - inv_alpha)
+    )
+    return math.exp(min(log_bound, 709.0))
 
 
 def interloper_bound(m: int, n: int, params: EnsembleParams) -> float:
-    """Bound on Pr(max over ranks i > n of X_i >= X_m) for 1 <= m < n, k = 0 only.
+    """Bound on Pr(max over ranks i > n of X_i >= X_m) for 1 <= m < n.
 
     Splits at the level tau = sqrt(lambda_m lambda_n), between the two means:
     either some tail entity jumps above tau (jumper bound) or X_m falls to
     tau or below (Chebyshev term lambda_m / (tau - lambda_m)^2).
     """
-    _require_k_zero(params, "interloper_bound")
     if m < 1 or n < 1:
         raise DomainError(f"ranks must be >= 1, got m={m}, n={n}")
     if m >= n:
@@ -325,23 +340,32 @@ def interloper_bound(m: int, n: int, params: EnsembleParams) -> float:
     lam_m = params.mean_of(m)
     lam_n = params.mean_of(n)
     tau = math.sqrt(lam_m * lam_n)
-    chebyshev = lam_m / (tau - lam_m) ** 2
-    return jumper_bound(n, tau, params) + chebyshev
+    jumpers = jumper_bound(n, tau, params)  # refuses a tau that underflowed
+    try:
+        chebyshev = lam_m / (tau - lam_m) ** 2
+    except OverflowError:  # the square passes the float range
+        chebyshev = lam_m / (tau - lam_m) / (tau - lam_m)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"lambda_{m} and lambda_{n} round to one level at k = {params.k}"
+        ) from None
+    return jumpers + chebyshev
 
 
 def swap_lower_bound(i: int, params: EnsembleParams) -> float:
-    """Computable lower bound on Pr(X_{i+1} >= X_i), k = 0 only.
+    """Computable lower bound on Pr(X_{i+1} >= X_i).
 
     Pr(X_{i+1} >= X_i) >= Pr(X_{i+1} > lambda_i) Pr(X_i <= lambda_i); the
     first factor is bounded below through the normal approximation with a
     Berry-Esseen correction of 0.8/sqrt(lambda), the second by the uniform
     floor exp(-1).  The result clamps at 0 when the correction dominates.
     """
-    _require_k_zero(params, "swap_lower_bound")
     if i < 1:
         raise DomainError(f"i must be >= 1, got {i}")
     lam_i = params.mean_of(i)
     lam_next = params.mean_of(i + 1)
+    if lam_next == 0.0:  # underflowed: only the trivial bound is left
+        return 0.0
     sd = math.sqrt(lam_next)
     z = (lam_next - lam_i) / sd
     phi = 0.5 * math.erfc(-z / math.sqrt(2.0))  # Phi(z), through erfc for tail accuracy

@@ -115,7 +115,12 @@ def estimate_N_total(T: float, alpha: float, k: float) -> float:
         raise DomainError(f"T must be finite and > 0, got {T}")
     if not (k >= 0.0) or math.isinf(k):
         raise DomainError(f"k must be finite and >= 0, got {k}")
-    return T / hurwitz_zeta(alpha, k + 1.0)
+    zeta = hurwitz_zeta(alpha, k + 1.0)
+    if zeta == 0.0 or math.isinf(T / zeta):
+        raise DomainError(
+            f"T / zeta(alpha, k+1) exceeds the float range at alpha={alpha}, k={k}"
+        )
+    return T / zeta
 
 
 def threshold_n_hat(T: float, alpha: float) -> float:

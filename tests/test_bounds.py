@@ -20,6 +20,7 @@ from oracles import (
 from zipforder import (
     DomainError,
     EnsembleParams,
+    ZipfOrderError,
     interloper_bound,
     jumper_bound,
     pick_n,
@@ -37,6 +38,12 @@ from zipforder import (
 from zipforder.bounds import _pair_term, _pick_n_and_sum
 
 BNC_PARAMS = EnsembleParams(1e7, 1.106, 0.0)
+# the law at shifts k > 0, at the BNC point and three others
+SHIFTED_PARAMS = [
+    EnsembleParams(N, alpha, k)
+    for k in (0.5, 2.5, 10.0, 1000.0)
+    for N, alpha in ((1e7, 1.106), (1e4, 2.0), (1e9, 1.5), (1e12, 3.0))
+]
 
 
 class TestEnsembleParams:
@@ -211,19 +218,19 @@ class TestPrefixErrorClosedForm:
         assert value == pytest.approx(2.0 * math.exp(-6.25), rel=1e-12)
 
     def test_dominates_bonferroni_sum(self):
-        """The closed form stays above the sharper sum for n = 2..200."""
-        for n in range(2, 201):
-            closed = prefix_error_closed_form(n, BNC_PARAMS)
-            sharp = prefix_error_bound(n, BNC_PARAMS).bonferroni_sum
-            assert closed >= sharp
+        """The closed form stays above the sharper sum for n = 2..200, at the
+        BNC point and at 16 shifted laws."""
+        for params in (BNC_PARAMS, *SHIFTED_PARAMS):
+            for n in range(2, 201):
+                closed = prefix_error_closed_form(n, params)
+                sharp = prefix_error_bound(n, params).bonferroni_sum
+                assert closed >= sharp, (n, params)
 
     def test_value_at_72_between_sum_and_one(self):
         value = prefix_error_closed_form(72, BNC_PARAMS)
         assert 0.0199 < value < 1.0
 
-    def test_requires_zero_shift(self):
-        with pytest.raises(DomainError):
-            prefix_error_closed_form(5, EnsembleParams(100.0, 2.0, 1.0))
+    def test_domain(self):
         with pytest.raises(DomainError):
             prefix_error_closed_form(1, BNC_PARAMS)
 
@@ -432,19 +439,22 @@ class TestJumperBound:
         assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
 
     def test_dominates_tail_sum_random(self):
-        """Bound >= truncated exact tail sum on 50 random configurations."""
-        rng = np.random.default_rng(9001)
-        checked = 0
-        while checked < 50:
-            alpha = float(rng.uniform(1.1, 3.0))
-            N = float(rng.uniform(10.0, 1e6))
-            n = int(rng.integers(2, 30))
-            params = EnsembleParams(N, alpha)
-            lam_n = params.mean_of(n)
-            tau = max(lam_n, 1.0 / alpha + 0.2) * float(rng.uniform(1.0, 6.0)) + 0.5
-            bound = jumper_bound(n, tau, params)
-            assert bound >= jumper_tail_sum(params, n, tau)
-            checked += 1
+        """Bound >= truncated exact tail sum on 50 random configurations at
+        k = 0 and 120 at shifts k from 0.1 to 100."""
+        for seed, draws, shifted in ((9001, 50, False), (9002, 120, True)):
+            rng = np.random.default_rng(seed)
+            checked = 0
+            while checked < draws:
+                alpha = float(rng.uniform(1.1, 3.0))
+                N = float(rng.uniform(10.0, 1e6))
+                n = int(rng.integers(2, 30))
+                k = float(10.0 ** rng.uniform(-1.0, 2.0)) if shifted else 0.0
+                params = EnsembleParams(N, alpha, k)
+                lam_n = params.mean_of(n)
+                tau = max(lam_n, 1.0 / alpha + 0.2) * float(rng.uniform(1.0, 6.0)) + 0.5
+                bound = jumper_bound(n, tau, params)
+                assert bound >= jumper_tail_sum(params, n, tau), (n, tau, params)
+                checked += 1
 
     def test_domains(self):
         params = EnsembleParams(100.0, 2.0)
@@ -452,8 +462,6 @@ class TestJumperBound:
             jumper_bound(5, 3.0, params)  # below lambda_5 = 4
         with pytest.raises(DomainError):
             jumper_bound(50, 0.3, EnsembleParams(2.0, 2.0))  # below 1/alpha
-        with pytest.raises(DomainError):
-            jumper_bound(5, 20.0, EnsembleParams(100.0, 2.0, 1.0))  # k != 0
         with pytest.raises(DomainError, match="n must be >= 1"):
             jumper_bound(0, 20.0, params)
         for tau in (math.inf, math.nan):
@@ -477,31 +485,31 @@ class TestInterloperBound:
         assert values[0] > values[1] > values[2]
 
     def test_dominates_monte_carlo(self):
-        """Bound >= the 99% Wilson upper bound of a simulated interloper rate."""
+        """Bound >= the 99% Wilson upper bound of a simulated interloper rate,
+        at the BNC point and at the same point shifted by k = 2.5."""
         from zipforder import replicate_stream, truncation_index
 
-        params = BNC_PARAMS
-        m_rank, n_rank = 36, 72
-        horizon = truncation_index(params, n_rank, 1e-6)
-        ranks = np.arange(n_rank + 1, horizon + 1, dtype=float)
-        tail_means = params.N * ranks**-params.alpha
-        lam_m = params.mean_of(m_rank)
-        reps = 10_000
-        stream = replicate_stream(20260809, 0)
-        hits = 0
-        for _ in range(reps):
-            x_m = stream.poisson(lam_m)
-            if stream.poisson(tail_means).max() >= x_m:
-                hits += 1
-        assert interloper_bound(m_rank, n_rank, params) >= wilson_upper(hits, reps)
+        for k in (0.0, 2.5):
+            params = EnsembleParams(BNC_PARAMS.N, BNC_PARAMS.alpha, k)
+            m_rank, n_rank = 36, 72
+            horizon = truncation_index(params, n_rank, 1e-6)
+            ranks = np.arange(n_rank + 1, horizon + 1, dtype=float)
+            tail_means = params.N * (ranks + params.k) ** -params.alpha
+            lam_m = params.mean_of(m_rank)
+            reps = 10_000
+            stream = replicate_stream(20260809, 0)
+            hits = 0
+            for _ in range(reps):
+                x_m = stream.poisson(lam_m)
+                if stream.poisson(tail_means).max() >= x_m:
+                    hits += 1
+            assert interloper_bound(m_rank, n_rank, params) >= wilson_upper(hits, reps), k
 
     def test_domains(self):
         with pytest.raises(DomainError):
             interloper_bound(8, 8, EnsembleParams(100.0, 2.0))
         with pytest.raises(DomainError):
             interloper_bound(0, 8, EnsembleParams(100.0, 2.0))
-        with pytest.raises(DomainError):
-            interloper_bound(2, 8, EnsembleParams(100.0, 2.0, 0.5))
 
 
 class TestSwapLowerBound:
@@ -511,8 +519,6 @@ class TestSwapLowerBound:
     def test_domain(self):
         with pytest.raises(DomainError, match="i must be >= 1"):
             swap_lower_bound(0, BNC_PARAMS)
-        with pytest.raises(DomainError):
-            swap_lower_bound(3, EnsembleParams(1e7, 1.106, 1.0))  # k != 0
 
     def test_matches_mpmath_formula(self):
         """exp(-1) max(0, Phi(z) - 0.8/sd) with sd = sqrt(lam_{i+1}) and
@@ -552,6 +558,107 @@ class TestSwapLowerBound:
 
     def test_nontrivial_somewhere(self):
         assert swap_lower_bound(500, BNC_PARAMS) > 0.05
+
+    def test_dominated_by_exact_swap_probability_shifted(self):
+        """Bound <= the exact Pr(X_{i+1} >= X_i) on 200 random shifted laws
+        (k from 0.1 to 1000, lambda_i below the oracle's limit of 600)."""
+        rng = np.random.default_rng(5150)
+        checked = nontrivial = 0
+        while checked < 200:
+            alpha = float(rng.uniform(1.05, 3.0))
+            N = float(10.0 ** rng.uniform(2.0, 6.0))
+            i = int(rng.integers(1, 300))
+            params = EnsembleParams(N, alpha, float(10.0 ** rng.uniform(-1.0, 3.0)))
+            lam_i = params.mean_of(i)
+            if lam_i >= 600.0:
+                continue
+            bound = swap_lower_bound(i, params)
+            assert bound <= skellam_leq_prob(lam_i, params.mean_of(i + 1)), (i, params)
+            nontrivial += bound > 0.0
+            checked += 1
+        assert nontrivial >= 40
+
+
+def _closed_form_mp(n, params):
+    N, alpha = mp.mpf(params.N), mp.mpf(params.alpha)
+    return n * mp.exp(-(N * alpha**2 / 4) * (n + mp.mpf(params.k)) ** (-alpha - 2))
+
+
+def _jumper_mp(n, tau, params):
+    # tau + 1 - lambda_n as (tau - lambda_n) + 1, so no digit of the 1 is lost
+    N, alpha, tau = mp.mpf(params.N), mp.mpf(params.alpha), mp.mpf(tau)
+    lam_n = mp.mpf(params.mean_of(n))
+    return (N ** (1 / alpha) / alpha) * ((tau + 1) / ((tau - lam_n) + 1)) * (
+        tau ** (-1 / alpha) / (tau - 1 / alpha))
+
+
+def _interloper_mp(m, n, params):
+    lam_m = mp.mpf(params.mean_of(m))
+    tau = mp.sqrt(lam_m * mp.mpf(params.mean_of(n)))
+    return _jumper_mp(n, tau, params) + lam_m / (tau - lam_m) ** 2
+
+
+class TestFloatRange:
+    """Each bound returns a finite value that holds, or raises DomainError."""
+
+    @pytest.mark.parametrize("bound, args, exact", [
+        # alpha^2 overflows; N alpha^2 / 4 overflows and (n+k)^(-alpha-2) underflows
+        (prefix_error_closed_form, (2, EnsembleParams(5e-324, 1e300)), _closed_form_mp),
+        (prefix_error_closed_form, (2, EnsembleParams(2.0, 1e154)), _closed_form_mp),
+        # N alpha^2 / 4 overflows and (n+k)^(-alpha-2) is subnormal: the
+        # exponent is 2.4e-9, where the product in floats read inf
+        (prefix_error_closed_form, (2, EnsembleParams(1.7e308, 1070.0)), _closed_form_mp),
+        # (tau - lambda_m)^2 overflows
+        (interloper_bound, (1, 10, EnsembleParams(1e155, 2.0)), _interloper_mp),
+        # lambda_6 underflows, so tau = 0
+        (interloper_bound, (1, 6, EnsembleParams(5e-324, 1.0000001)), None),
+        # tau + 1 - lambda_n cancels to 0
+        (jumper_bound, (1, 1e18, EnsembleParams(1e18, 1.0000001)), _jumper_mp),
+        # lambda_2 underflows: the trivial lower bound
+        (swap_lower_bound, (1, EnsembleParams(5e-324, 1.0000001)), lambda *_: 0.0),
+        # at k = 1e300 ranks 1 and 6 share one mean, and tau rounds to it
+        (interloper_bound, (1, 6, EnsembleParams(1.7e308, 1.0000001, 1e300)), None),
+        # N^(1/alpha) (tau+1) / (tau+1-lambda_n) overflows and the last factor
+        # underflows to 0
+        (jumper_bound, (3, 1.7e308, EnsembleParams(1.7e308, 1.0000001)), _jumper_mp),
+    ], ids=["closed-alpha-squared", "closed-inf-times-zero", "closed-inf-times-subnormal",
+            "interloper-square",
+            "interloper-tau-zero", "jumper-gap-zero", "swap-sd-zero", "interloper-one-level",
+            "jumper-inf-times-zero"])
+    def test_extreme_calls(self, bound, args, exact):
+        if exact is None:
+            with pytest.raises(DomainError):
+                bound(*args)
+            return
+        with mp.workdps(50):
+            expect = float(exact(*args))
+        assert bound(*args) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_grid_raises_only_typed_errors(self):
+        """Over N, alpha and k at the float range's ends every call returns a
+        finite value or raises a ZipfOrderError."""
+        ranks = (1, 2, 6, 72, 2**53, 10**30)
+        taus = (0.5, 3.0, 1e18, 1e154, 1e308, 1.7e308)
+        results = 0
+        for N in (5e-324, 1e-3, 2.0, 1e7, 1e18, 1e155, 1e308, 1.7e308):
+            for alpha in (1.0000001, 1.106, 2.0, 40.0, 1070.0, 1e18, 1e154, 1e300):
+                for k in (0.0, 0.5, 1e7, 1e20, 1e300):
+                    params = EnsembleParams(N, alpha, k)
+                    calls = []
+                    for r in ranks:
+                        lam = params.mean_of(r)
+                        calls += [(prefix_error_closed_form, r, params),
+                                  (swap_lower_bound, r, params)]
+                        calls += [(interloper_bound, r, s, params) for s in ranks]
+                        calls += [(jumper_bound, r, t, params) for t in (lam, 2.0 * lam, *taus)]
+                    for bound, *args in calls:
+                        try:
+                            value = bound(*args)
+                        except ZipfOrderError:
+                            continue
+                        assert math.isfinite(value) and value >= 0.0, (bound.__name__, args)
+                        results += 1
+        assert results > 10_000
 
 
 class TestTeicherFloor:

@@ -715,14 +715,33 @@ def _ensemble_argvs(draw):
     return argv
 
 
+# analyze's numbers: the ensemble values plus 40 and 1e300, where
+# zeta(alpha, k+1) underflows to 0.0 once k is large
+_ANALYZE_REALS = _REALS | st.sampled_from(["40", "1e300"])
+
+
+@st.composite
+def _analyze_argvs(draw):
+    """Argument lists of analyze on bnc_top10.tsv with hostile numeric flags."""
+    argv = ["analyze", "--input", BNC_TOP10, f"--alpha={draw(_ANALYZE_REALS | st.just('1.106'))}"]
+    for flag, values in (("k", _ANALYZE_REALS), ("total", _ANALYZE_REALS),
+                         ("epsilon", _ANALYZE_REALS | st.just("0.01"))):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv += ["--window", *draw(st.lists(_RANKS | _ANALYZE_REALS, min_size=2, max_size=2))]
+    if draw(st.booleans()):
+        argv += ["--alphas", *draw(st.lists(_ANALYZE_REALS, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        argv += ["--slopes", *draw(st.lists(_ANALYZE_REALS, min_size=2, max_size=2))]
+    return argv
+
+
 class TestEnsembleFlags:
     """Whatever the flags, a command exits 0, 1 or 2, and 1 with one error line."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(_ensemble_argvs())
-    @example(["simulate", "--N=1e18", "--alpha=3", "--reps=3", "--seed=3",
-              f"--n-focus={2**53}"])  # a floor of 2**55 counts
-    def test_exit_code_and_error_line(self, argv):
+    @staticmethod
+    def _check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -737,6 +756,22 @@ class TestEnsembleFlags:
         elif code == 1:
             assert out.getvalue() == ""
             assert err.startswith("zipforder: error: ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ensemble_argvs())
+    @example(["simulate", "--N=1e18", "--alpha=3", "--reps=3", "--seed=3",
+              f"--n-focus={2**53}"])  # a floor of 2**55 counts
+    def test_exit_code_and_error_line(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_analyze_argvs())
+    # zeta(alpha, k+1) underflows to 0.0
+    @example(["analyze", "--input", BNC_TOP10, "--alpha=40", "--k=1e20"])
+    @example(["analyze", "--input", BNC_TOP10, "--alpha=3", "--k=1e300"])
+    @example(["analyze", "--input", BNC_TOP10, "--alpha=1e18", "--k=1e7"])
+    def test_analyze_exit_code_and_error_line(self, argv):
+        self._check(argv)
 
 
 # Payloads mix every JSON-encodable kind a report could hold.  Their strings,

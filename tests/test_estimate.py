@@ -100,6 +100,16 @@ class TestEstimateNTotal:
         with pytest.raises(DomainError):
             estimate_N_total(10.0, 1.5, -1.0)
 
+    @pytest.mark.parametrize("T, alpha, k", [
+        (1e8, 40.0, 1e20),  # zeta(alpha, k+1) underflows to 0.0
+        (1e8, 3.0, 1e300),
+        (1e8, 1e18, 1e7),
+        (1e308, 2.0, 1e10),  # zeta is about 1e-10, and T / zeta overflows
+    ])
+    def test_scale_beyond_float_range(self, T, alpha, k):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            estimate_N_total(T, alpha, k)
+
 
 class TestLocalScaleEstimates:
     def test_single_entry(self):

@@ -1,8 +1,9 @@
-"""Package-wide contracts: the public surface, NaN rejection at every check and
-the modules a cold import loads."""
+"""Package-wide contracts: the public surface, NaN rejection at every check,
+the modules a cold import loads and the README's examples."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -104,3 +105,22 @@ def test_import_reports_every_traced_span():
     )
     spans = {span for span, _seconds, _parent in parse_importtime(proc.stderr)}
     assert spans == set(IMPORT_SPANS.values())
+
+
+def test_readme_python_blocks_run(capsys):
+    """Each ``python`` block of README.md runs in a fresh namespace, and a
+    number commented on a ``print`` line is what that line prints, rounded
+    to the digits shown."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+        printed = capsys.readouterr().out.splitlines()
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(prints)
+        for line, out in zip(prints, printed):
+            shown = re.search(r"#\s*([-+.\de]+)\s*$", line)
+            if shown:
+                digits = len(shown[1].lstrip("0.").replace(".", ""))
+                assert format(float(out), f".{digits}g") == shown[1], line
