@@ -47,6 +47,16 @@ __all__ = [
     "teicher_floor",
 ]
 
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
+
+
+def _shifted_rank(i: int, k: float) -> float:
+    # i + k, refusing an int rank that float(i) would raise OverflowError on;
+    # the rank is not echoed, since an int that large has hundreds of digits
+    if i > _FLOAT_MAX:
+        raise DomainError("rank exceeds the float range (about 1.8e308)")
+    return i + k
+
 
 @dataclass(frozen=True)
 class EnsembleParams:
@@ -68,7 +78,7 @@ class EnsembleParams:
         """Expected count of the rank-i entity, lambda_i = N (i+k)^-alpha."""
         if i < 1:
             raise DomainError(f"rank must be >= 1, got {i}")
-        return self.N * (i + self.k) ** -self.alpha
+        return self.N * _shifted_rank(i, self.k) ** -self.alpha
 
 
 @dataclass(frozen=True)
@@ -199,16 +209,11 @@ def prefix_error_closed_form(n: int, params: EnsembleParams) -> float:
     """
     if n < 2:
         raise DomainError(f"closed form needs n >= 2, got {n}")
-    try:
-        expo = (params.N * params.alpha**2 / 4.0) * (n + params.k) ** (-params.alpha - 2.0)
-    except OverflowError:  # alpha^2 passes the float range
-        expo = math.nan
-    if not math.isfinite(expo):
-        # N alpha^2 / 4 passed the float range: the same exponent in logs
-        log_expo = (math.log(params.N) + 2.0 * math.log(params.alpha) - math.log(4.0)
-                    - (params.alpha + 2.0) * math.log(n + params.k))
-        expo = math.exp(min(log_expo, 709.0))  # past e^709 the result is 0 anyway
-    return n * math.exp(-expo)
+    # the exponent in logs, as N alpha^2 / 4 can pass the float range while
+    # (n+k)^(-alpha-2) underflows; past e^709 the result is 0 anyway
+    log_expo = (math.log(params.N) + 2.0 * math.log(params.alpha / 2.0)
+                - (params.alpha + 2.0) * math.log(_shifted_rank(n, params.k)))
+    return n * math.exp(-math.exp(min(log_expo, 709.0)))
 
 
 def pick_n(params: EnsembleParams, epsilon: float, n_max: int) -> int:
@@ -309,15 +314,8 @@ def jumper_bound(n: int, tau: float, params: EnsembleParams) -> float:
     # tau + 1 - lambda_n is at least 1; from 2^53 on tau + 1 can round to
     # tau = lambda_n, and the difference to 0
     gap = tau + 1.0 - lam_n or 1.0
-    bound = (
-        (params.N**inv_alpha / params.alpha)
-        * ((tau + 1.0) / gap)
-        * (tau**-inv_alpha / (tau - inv_alpha))
-    )
-    if math.isfinite(bound):
-        return bound
-    # the first two factors passed the float range (and the third may have
-    # underflowed to 0): the same product in logs, capped far above 1
+    # the product in logs, as its first two factors can pass the float range
+    # while the last one underflows; capped far above 1
     log_bound = (
         math.log(params.N) * inv_alpha - math.log(params.alpha)
         + math.log(tau + 1.0) - math.log(gap)
@@ -338,18 +336,12 @@ def interloper_bound(m: int, n: int, params: EnsembleParams) -> float:
     if m >= n:
         raise DomainError(f"need m < n so the level separates the means, got m={m}, n={n}")
     lam_m = params.mean_of(m)
-    lam_n = params.mean_of(n)
-    tau = math.sqrt(lam_m * lam_n)
+    tau = math.sqrt(lam_m) * math.sqrt(params.mean_of(n))  # lambda_m lambda_n can overflow
     jumpers = jumper_bound(n, tau, params)  # refuses a tau that underflowed
-    try:
-        chebyshev = lam_m / (tau - lam_m) ** 2
-    except OverflowError:  # the square passes the float range
-        chebyshev = lam_m / (tau - lam_m) / (tau - lam_m)
-    except ZeroDivisionError:
-        raise DomainError(
-            f"lambda_{m} and lambda_{n} round to one level at k = {params.k}"
-        ) from None
-    return jumpers + chebyshev
+    gap = lam_m - tau
+    if not gap > 0.0:
+        raise DomainError(f"lambda_{m} and lambda_{n} round to one level at k = {params.k}")
+    return jumpers + lam_m / gap / gap
 
 
 def swap_lower_bound(i: int, params: EnsembleParams) -> float:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -217,10 +218,21 @@ def ordering_outcome(counts: Sequence[int] | np.ndarray) -> OrderingOutcome:
 
     ``counts`` holds the draw in true-rank order, X_1 first; it is not
     re-sorted, since its inversions are what the classification describes.
+    Each count must be a finite number: every comparison with NaN is false,
+    so a NaN would never break the chain.
     """
     x = np.asarray(counts)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("counts must be a nonempty one-dimensional sequence")
+    if x.dtype.kind == "O":  # Python ints past int64, possibly among floats
+        finite = all(
+            isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and math.isfinite(v))
+            for v in x
+        )
+    else:
+        finite = x.dtype.kind in "biu" or (x.dtype.kind == "f" and bool(np.isfinite(x).all()))
+    if not finite:
+        raise DomainError("counts must be finite numbers")
     prefix, kind, blocker = (int(v[0]) for v in _classify(x[np.newaxis]))
     first_error = _ERROR_KINDS[kind]
     if first_error == "none":

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -621,10 +622,14 @@ class TestFloatRange:
         # N^(1/alpha) (tau+1) / (tau+1-lambda_n) overflows and the last factor
         # underflows to 0
         (jumper_bound, (3, 1.7e308, EnsembleParams(1.7e308, 1.0000001)), _jumper_mp),
+        # the last factor tau^(-1/alpha) / (tau - 1/alpha) is subnormal
+        (jumper_bound, (2, 1e160, EnsembleParams(1e308, 1.0000001, 1e150)), _jumper_mp),
+        # lambda_1 lambda_2 overflows although tau = 7.1e307 is in range
+        (interloper_bound, (1, 2, EnsembleParams(1e308, 1.0000001)), _interloper_mp),
     ], ids=["closed-alpha-squared", "closed-inf-times-zero", "closed-inf-times-subnormal",
             "interloper-square",
             "interloper-tau-zero", "jumper-gap-zero", "swap-sd-zero", "interloper-one-level",
-            "jumper-inf-times-zero"])
+            "jumper-inf-times-zero", "jumper-subnormal-factor", "interloper-product-overflow"])
     def test_extreme_calls(self, bound, args, exact):
         if exact is None:
             with pytest.raises(DomainError):
@@ -633,6 +638,44 @@ class TestFloatRange:
         with mp.workdps(50):
             expect = float(exact(*args))
         assert bound(*args) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: BNC_PARAMS.mean_of(10**400),
+        lambda: prefix_error_closed_form(10**400, BNC_PARAMS),
+        lambda: jumper_bound(10**400, 1.0, BNC_PARAMS),
+        lambda: interloper_bound(1, 10**400, BNC_PARAMS),
+        lambda: swap_lower_bound(10**400, BNC_PARAMS),
+    ], ids=["mean-of", "closed-form", "jumper", "interloper", "swap"])
+    def test_rank_past_float_range(self, call):
+        """An int rank that float() refuses raises DomainError, not OverflowError."""
+        with pytest.raises(DomainError, match="rank exceeds the float range"):
+            call()
+
+    def test_log_forms_match_mpmath(self):
+        """The closed form and the jumper bound, each evaluated in logs, agree
+        with their formulas at 50 digits on 2,000 seeded points: N from 1e-3
+        to 1e18, alpha from 1 + 1e-6 to 11, k in {0, 0.5, 2.5, 1e3}, n from 2
+        to 1e5 and tau from 1.1 to 1001 times max(lambda_n, 1/alpha).  That
+        keeps tau - 1/alpha, where the float 1/alpha is rounded, from
+        cancelling.  A closed-form value below the normal floats is held to
+        that absolute level only."""
+        rng = np.random.default_rng(20261020)
+        for _ in range(2000):
+            params = EnsembleParams(
+                float(10.0 ** rng.uniform(-3.0, 18.0)),
+                1.0 + float(10.0 ** rng.uniform(-6.0, 1.0)),
+                float(rng.choice([0.0, 0.5, 2.5, 1e3])),
+            )
+            n = int(10.0 ** rng.uniform(math.log10(2.0), 5.0))
+            floor = max(params.mean_of(n), 1.0 / params.alpha)
+            tau = floor * (1.0 + float(10.0 ** rng.uniform(-1.0, 3.0)))
+            with mp.workdps(50):
+                closed = float(_closed_form_mp(n, params))
+                jumper = float(_jumper_mp(n, tau, params))
+            assert prefix_error_closed_form(n, params) == pytest.approx(
+                closed, rel=1e-11, abs=sys.float_info.min), (n, params)
+            assert jumper_bound(n, tau, params) == pytest.approx(
+                jumper, rel=1e-13, abs=0.0), (n, tau, params)
 
     def test_grid_raises_only_typed_errors(self):
         """Over N, alpha and k at the float range's ends every call returns a

@@ -1,6 +1,8 @@
 """Package-wide contracts: the public surface, NaN rejection at every check,
-the modules a cold import loads and the README's examples."""
+the modules the sources import and a cold import loads, and the README's
+examples."""
 
+import ast
 import math
 import os
 import re
@@ -87,6 +89,35 @@ _TABLE = RankedCounts(counts=(9.0, 5.0, 2.0))
 def test_nan_argument_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _imported_modules(path):
+    """Module names a source file imports, a relative one with its leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_bounds_imports_only_math_from_outside():
+    """The bounds need only Python's ``math`` (README): besides the
+    package's errors, ``bounds`` imports only these standard modules."""
+    assert _imported_modules(Path(bounds.__file__)) == {
+        "__future__", "bisect", "math", "dataclasses", "typing", ".errors",
+    }
+
+
+def test_no_module_imports_warnings():
+    """Conditions a run meets are report fields or typed errors, never
+    Python warnings: no module of the package imports ``warnings``."""
+    sources = sorted(Path(zipforder.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        roots = {name.lstrip(".").split(".")[0] for name in _imported_modules(path)}
+        assert "warnings" not in roots, path.name
 
 
 def test_import_reports_every_traced_span():

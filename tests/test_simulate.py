@@ -282,6 +282,22 @@ class TestOrderingOutcome:
         with pytest.raises(DomainError):
             ordering_outcome([])
 
+    @pytest.mark.parametrize("counts", [
+        [1.0, math.nan], [math.nan, 1.0], [3.0, math.inf], [-math.inf, 1.0],
+        np.array([2.0, np.nan]), [10**30, math.nan], ["a", "b"], [2, None], [1 + 2j, 1],
+    ], ids=["nan-last", "nan-first", "inf", "minus-inf", "array-nan", "big-int-nan",
+            "strings", "none", "complex"])
+    def test_rejects_counts_that_are_not_finite_numbers(self, counts):
+        """A NaN would never break the chain (every comparison with it is
+        false), and a string would reach numpy's comparison: both raise."""
+        with pytest.raises(DomainError, match="finite numbers"):
+            ordering_outcome(counts)
+
+    def test_ints_past_int64(self):
+        assert ordering_outcome([10**30, 1]) == OrderingOutcome(2, "none")
+        assert ordering_outcome([10**400, 10**30, 2.5]) == OrderingOutcome(3, "none")
+        assert ordering_outcome([10**30, 10**30]) == OrderingOutcome(0, "tie", blocker_index=1)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 40])
     def test_block_rows_match_single_rows(self, m):
         """The block classifier agrees row by row with one-row calls and with
