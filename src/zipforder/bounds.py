@@ -160,6 +160,8 @@ def poisson_lower_tail_bound(lam: float, t: float) -> float:
 # exponent is below 800 has a term of exactly 0.0.
 _UNDERFLOW_EXPONENT = 800.0
 
+_UNITS = 2**1074  # 1.0 in units of 2^-1074, the spacing of the subnormal floats
+
 
 def _check_ranks(params: EnsembleParams, last: int) -> None:
     # from 2^53 on floats are 2 or more apart: i + k and i + 1 + k can round
@@ -238,31 +240,22 @@ def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple
     _check_ranks(params, n_max)
     # The terms grow with i, and the leading ones that underflow are 0.0:
     # bisection finds the first rank whose exponent is below
-    # _UNDERFLOW_EXPONENT, and the scan and every sum start there, which
-    # leaves n and the sum bit for bit as a scan from rank 1 has them.
+    # _UNDERFLOW_EXPONENT, and the scan starts there, which leaves n and the
+    # sum bit for bit as a scan from rank 1 has them.
     first = 1 + bisect.bisect_left(
         range(1, n_max), True, key=lambda i: _pair_exponent(params, i) < _UNDERFLOW_EXPONENT
     )
-
-    def prefix_sum(n: int) -> float:  # math.fsum of the prefix's terms
-        return math.fsum(_pair_term(params, i) for i in range(first, n))
-
-    # The float running sum finds the boundary and math.fsum settles it: the
-    # scan stops only where fsum also exceeds epsilon, then steps back while
-    # the shorter prefix still does.  fsum's partial sums are nondecreasing,
-    # so this is the scan with fsum at every n, in O(n) time and O(1) memory:
-    # each fsum makes the prefix's terms again.
-    n, running = first, 0.0
+    # The prefix sum is kept exactly, as an int count of units of 2^-1074: a
+    # float is num / 2^e with e <= 1074, which is num << (1074 - e) units.
+    # Int division rounds the count once, to the float math.fsum returns.
+    n, units = first, 0
     while n < n_max:
-        running += _pair_term(params, n)
-        n += 1
-        if running > epsilon and prefix_sum(n) > epsilon:
+        num, den = _pair_term(params, n).as_integer_ratio()
+        more = units + (num << (1075 - den.bit_length()))
+        if more / _UNITS > epsilon:
             break
-    total = prefix_sum(n)
-    while total > epsilon:  # the empty sum, 0, ends this
-        n -= 1
-        total = prefix_sum(n)
-    return n, total
+        n, units = n + 1, more
+    return n, units / _UNITS
 
 
 def threshold_A(alpha: float) -> float:

@@ -76,12 +76,6 @@ class ZipfPlotData:
     skipped_ranks: range  # the ranks of the zero counts, which have no log point
     lines: tuple[ReferenceLine, ReferenceLine]
 
-    @property
-    def points(self) -> tuple[tuple[int, float, float], ...]:
-        """The (rank, ln rank, ln count) rows, built on each call."""
-        ranks = range(1, len(self.ln_counts) + 1)
-        return tuple(zip(ranks, map(math.log, ranks), self.ln_counts))
-
 
 @dataclass(frozen=True)
 class AnalysisReport:

@@ -74,7 +74,7 @@ _MAX_HORIZON = 2**20
 # numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max),
 # about 9.2234e18, so that a draw ten standard deviations above its mean
 # still fits the int64 counts; lambda_1 is the largest mean of the ensemble
-_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_MAX_MEAN = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)

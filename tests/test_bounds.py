@@ -88,6 +88,25 @@ class TestSkellamOrderBound:
     def test_strictly_below_one_when_separated(self):
         assert skellam_order_bound(5.0, 4.0) < 1.0
 
+    def test_pair_term_is_the_bound_of_adjacent_means(self):
+        """_pair_term, written in (i+k), is skellam_order_bound(lambda_i,
+        lambda_{i+1}) within 1e-6 relative wherever it is at least 1e-300, on
+        20,000 seeded points: N 1e-2 to 1e18, alpha 1.001 to 5, k 0, 0.5 or
+        0.1 to 1e3 and i 1 to 1e5, each log-uniform but alpha.  The worst
+        gap seen is 1.1e-8."""
+        rng = np.random.default_rng(33)
+        compared = 0
+        for _ in range(20_000):
+            k = (0.0, 0.5, 10.0 ** rng.uniform(-1.0, 3.0))[rng.integers(3)]
+            params = EnsembleParams(10.0 ** rng.uniform(-2.0, 18.0), rng.uniform(1.001, 5.0), k)
+            i = int(10.0 ** rng.uniform(0.0, 5.0))
+            term = _pair_term(params, i)
+            if term >= 1e-300:
+                want = skellam_order_bound(params.mean_of(i), params.mean_of(i + 1))
+                assert term == pytest.approx(want, rel=1e-6), (params, i)
+                compared += 1
+        assert compared >= 10_000
+
     def test_argument_order_enforced(self):
         with pytest.raises(DomainError):
             skellam_order_bound(1.0, 4.0)
@@ -314,6 +333,16 @@ class TestPickN:
                 inside += 1
             stops.add("cap" if n == n_max else "budget")
         assert inside >= 1000 and stops == {"cap", "budget"}
+
+    @pytest.mark.parametrize("N, want_n, want_sum", [
+        (1e15, 21_338, "0x1.4762e842fd618p-7"),
+        (1e18, 186_808, "0x1.47aa2a0e169ffp-7"),
+    ])
+    def test_deep_prefixes(self, N, want_n, want_sum):
+        """Past 10^4 ranks (alpha 1.106, epsilon 0.01, n_max 10^6) the n and
+        sum, bit for bit, that a math.fsum of each prefix gives."""
+        n, total = _pick_n_and_sum(EnsembleParams(N, 1.106), 0.01, 10**6)
+        assert (n, total.hex()) == (want_n, want_sum)
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5])
     @pytest.mark.parametrize("n_max", [1, 2, 10_000])

@@ -812,7 +812,8 @@ class _Column:
     @classmethod
     def of_points(cls, ln_counts):
         plot = ZipfPlotData(tuple(ln_counts), range(0), _LINES)
-        return cls([list(row) for row in plot.points], 2, partial(_point_text, plot))
+        rows = [[i, math.log(i), y] for i, y in enumerate(plot.ln_counts, start=1)]
+        return cls(rows, 2, partial(_point_text, plot))
 
 
 _COLUMNS = (

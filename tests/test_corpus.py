@@ -430,12 +430,17 @@ class TestAdjacentSe:
                     assert se == 0.0
 
 
+def _rows(plot):
+    """The (rank, ln rank, ln count) rows of a plot, built from its ln_counts."""
+    return tuple((i, math.log(i), y) for i, y in enumerate(plot.ln_counts, start=1))
+
+
 class TestZipfPlotData:
     def test_hand_logs(self):
         table = RankedCounts(counts=(math.e, 1.0))
         plot = zipf_plot_data(table)
-        assert plot.points[0] == (1, 0.0, pytest.approx(1.0))
-        assert plot.points[1] == (2, pytest.approx(math.log(2.0)), pytest.approx(0.0))
+        assert _rows(plot)[0] == (1, 0.0, pytest.approx(1.0))
+        assert _rows(plot)[1] == (2, pytest.approx(math.log(2.0)), pytest.approx(0.0))
 
     def test_slopes_echoed_and_anchored(self):
         table = RankedCounts(counts=(100.0, 10.0))
@@ -448,7 +453,7 @@ class TestZipfPlotData:
     def test_zero_counts_skipped_and_reported(self):
         table = RankedCounts(counts=(10.0, 0.0, 0.0))
         plot = zipf_plot_data(table)
-        assert len(plot.points) == 1
+        assert len(_rows(plot)) == 1
         assert tuple(plot.skipped_ranks) == (2, 3)
 
     def test_matches_per_row_rule(self):
@@ -461,7 +466,7 @@ class TestZipfPlotData:
                 c[length - zeros:] = 0.0
                 plot = zipf_plot_data(RankedCounts(counts=tuple(c)))
                 ranks = range(1, length + 1)
-                assert plot.points == tuple(
+                assert _rows(plot) == tuple(
                     (i, math.log(i), math.log(x)) for i, x in zip(ranks, c) if x > 0.0
                 )
                 assert tuple(plot.skipped_ranks) == tuple(i for i, x in zip(ranks, c) if x == 0.0)
@@ -479,7 +484,7 @@ class TestZipfPlotData:
     def test_loglog_slope_near_power_law(self, synthetic_bnc_like):
         """Least-squares slope over ranks 10..100 sits in [-1.2, -1.0]."""
         plot = zipf_plot_data(synthetic_bnc_like)
-        pts = [(lr, lc) for i, lr, lc in plot.points if 10 <= i <= 100]
+        pts = [(lr, lc) for i, lr, lc in _rows(plot) if 10 <= i <= 100]
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])
         slope = float(np.polyfit(x, y, 1)[0])
@@ -562,7 +567,7 @@ class TestAnalyze:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(report.zipf_points.points) == n
+        assert len(report.zipf_points.ln_counts) == n
         assert held < 80 * n
 
     def test_window_outside_table_rejected(self):

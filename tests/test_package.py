@@ -120,6 +120,19 @@ def test_no_module_imports_warnings():
         assert "warnings" not in roots, path.name
 
 
+def test_third_party_imports_stay_in_one_module_each():
+    """numpy is imported only by ``simulate`` and scipy only by ``special``,
+    so moving or dropping either import touches one module."""
+    sources = sorted(Path(zipforder.__file__).parent.glob("*.py"))
+    assert sources
+    importers = {"numpy": set(), "scipy": set()}
+    for path in sources:
+        for root in {name.split(".")[0] for name in _imported_modules(path)} & importers.keys():
+            importers[root].add(path.name)
+    assert importers["numpy"] <= {"simulate.py"}
+    assert importers["scipy"] <= {"special.py"}
+
+
 def test_import_reports_every_traced_span():
     """A cold ``import zipforder`` imports each module the traced benchmark times.
 
