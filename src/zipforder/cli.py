@@ -2,24 +2,23 @@
 
 Subcommands: threshold, bound, pick-n, simulate, analyze.  Reports are JSON
 by default, byte for byte ``json.dumps(indent=2)`` but written in bounded
-pieces; the tabular subcommands also offer CSV.  Exit codes: 0 success,
-1 domain/convergence/configuration error (values beyond the float range
-included) or unreadable input, 2 usage error.
+pieces by ``_text``; the tabular subcommands also offer CSV.  Exit codes:
+0 success, 1 domain/convergence/configuration error (values beyond the float
+range included) or unreadable input, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 from dataclasses import replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from ._text import _column_text, _csv, _json, _numbered_csv, _point_text, _record, _zipf_csv
 from .bounds import EnsembleParams, _pair_terms, _pick_n_and_sum, threshold_n_prime
 from .corpus import DEFAULT_SLOPES, DEFAULT_WINDOW, analyze, load_rank_counts
-from .corpus import _column_text, _indented, _numbered_csv, _point_text, _zipf_csv
 from .errors import ZipfOrderError
 from .simulate import run_experiment
 
@@ -118,38 +117,6 @@ def _emit(pieces: Iterable[str], out_path: str) -> None:
             fh.writelines(pieces)
 
 
-def _json(payload, columns: Iterable[tuple[str, Iterable[str], int]] = ()) -> Iterator[str]:
-    """The text of ``json.dumps(payload, indent=2) + "\n"``, in bounded pieces.
-
-    ``columns`` holds a (key, slices, depth) triple for each long column, in
-    the order the text holds their keys: the key holds an empty list in
-    ``payload``, and the slices and depth go to :func:`corpus._indented`.
-    A key is found as a space, its JSON text and ``: []``; nothing but a key
-    matches that, since json.dumps escapes every quote inside a string.
-    """
-    text = json.dumps(payload, indent=2) + "\n"
-    for key, slices, depth in columns:
-        key_text = f" {json.dumps(key)}: "
-        head, text = text.split(key_text + "[]", 1)
-        yield head + key_text
-        yield from _indented(slices, depth, head[head.rindex("\n"):] + " ")
-    yield text
-
-
-def _csv(header: str, rows) -> Iterator[str]:
-    """A CSV header line, then one line of comma-joined reprs per row."""
-    yield header + "\n"
-    for row in rows:
-        yield ",".join(map(repr, row)) + "\n"
-
-
-def _record(payload: dict, fmt: str) -> Iterator[str]:
-    """A one-record report: JSON, or a CSV header and one row of reprs."""
-    if fmt == "csv":
-        return _csv(",".join(payload), [payload.values()])
-    return _json(payload)
-
-
 def _cmd_threshold(args) -> Iterable[str]:
     report = threshold_n_prime(args.N, args.alpha)
     payload = {
@@ -165,9 +132,8 @@ def _cmd_threshold(args) -> Iterable[str]:
 
 def _cmd_bound(args) -> Iterable[str]:
     params = EnsembleParams(args.N, args.alpha, args.k)
-    # every term is exp(-x) with x >= 0 or x = inf, so finite, and its repr is
-    # its JSON text; the terms and their slices are made lazily, while the
-    # report is written, and the sum takes a pass of its own
+    # the terms and their slices are made lazily, while the report is
+    # written, and the sum takes a pass of its own
     terms = _column_text(_pair_terms(params, args.n))
     if args.format == "csv":
         return _numbered_csv("i,term", terms)
@@ -222,10 +188,7 @@ def _cmd_analyze(args) -> Iterable[str]:
         alphas=args.alphas,
         slopes=tuple(args.slopes),
     )
-    # Each long column is rendered once; the JSON and both CSVs share the text.
-    # Every analyze value is finite (counts are finite and >= 0, so are their
-    # logs, and (a - b) / sqrt(a + b) is 0 where a + b overflows), and the
-    # JSON text of a finite number is its repr, which the renderers write.
+    # each long column is rendered once; the JSON and both CSVs share the text
     se = tuple(_column_text(report.adjacent_se))
     points = tuple(_point_text(report.zipf_points))
     if args.zipf_csv:

@@ -19,8 +19,9 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
+from ._text import _column_text, _numbered_csv, _per_run, _point_text, _zipf_csv
 from .bounds import EnsembleParams, pick_n
 from .errors import DomainError, ParseError
 from .estimate import (
@@ -51,7 +52,6 @@ _PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not rais
 # the largest int that float() rounds to a finite value: 2^1024 - 2^970 and
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
-_CHUNK = 1024  # rows per slice when a long column is rendered to text
 _SHOWN = 40  # characters of a bad field that an error message echoes
 
 
@@ -137,21 +137,6 @@ def _shown(text: str) -> str:
     if len(text) <= _SHOWN:
         return text
     return f"{text[:_SHOWN]}... ({len(text):,} characters)"
-
-
-def _per_run(fn: Callable, values: Iterable) -> Iterator:
-    """``map(fn, values)`` with one call of ``fn`` per run of equal values,
-    whose result every item of the run shares.
-
-    Runs are cut with ``!=``, which takes 0.0 and -0.0 as equal; no column
-    this runs on holds -0.0 (counts are ints >= 0, and no log is -0.0), so a
-    run never joins values with different reprs.
-    """
-    last = result = None
-    for x in values:
-        if x != last:
-            last, result = x, fn(x)
-        yield result
 
 
 class _Labels(Sequence):
@@ -403,68 +388,6 @@ def analyze(
         epsilon=epsilon,
         window_scale_min=at_alpha.N_est,
     )
-
-
-# The renderers are the one path from a long column to text.  They write the
-# repr of each value, a _CHUNK slice at a time, as the slice's compact JSON
-# text with its outer brackets cut; the JSON text of a finite number is its
-# repr, so a column bound for JSON holds no nan or infinity.
-def _point_text(plot: ZipfPlotData) -> Iterator[str]:
-    """The plot rows as ``1, 0.0, 4.6], [2, 0.69..., 4.1...``, slice by slice."""
-    reprs = _per_run(repr, plot.ln_counts)
-    for start in range(0, len(plot.ln_counts), _CHUNK):
-        rows = enumerate(itertools.islice(reprs, _CHUNK), start=start + 1)
-        yield "], [".join([f"{i}, {math.log(i)!r}, {y}" for i, y in rows])
-
-
-def _column_text(values: Iterable[float]) -> Iterator[str]:
-    """The values as ``1.5, -0.25``, slice by slice."""
-    values = iter(values)
-    while text := ", ".join(map(repr, itertools.islice(values, _CHUNK))):
-        yield text
-
-
-def _indented(slices: Iterable[str], depth: int, nl: str) -> Iterator[str]:
-    """The ``indent=2`` text of a column from the slices of :func:`_column_text`
-    (``depth`` 1) or :func:`_point_text` (``depth`` 2).
-
-    ``nl`` is a newline and the indent of the line the column starts on.
-    The compact separators are replaced, the outermost first, since the text
-    of a number never holds ", " or "], ["; the first replacement's new text
-    also joins the slices.  No slices is the empty list.
-    """
-    inner = nl + "  "
-    if depth == 1:
-        head, tail = "[" + inner, nl + "]"
-        replacements = ((", ", "," + inner),)
-    else:
-        row = inner + "  "
-        head, tail = "[" + inner + "[" + row, inner + "]" + nl + "]"
-        replacements = (("], [", inner + "]," + inner + "[" + row), (", ", "," + row))
-    sep = head
-    for text in slices:
-        for old, new in replacements:
-            text = text.replace(old, new)
-        yield sep + text
-        sep = replacements[0][1]
-    yield "[]" if sep is head else tail
-
-
-def _zipf_csv(slices: Iterable[str]) -> Iterator[str]:
-    """The plot CSV, cut from the slices of :func:`_point_text`."""
-    yield "i,ln_rank,ln_count\n"
-    for text in slices:
-        yield text.replace("], [", "\n").replace(", ", ",") + "\n"
-
-
-def _numbered_csv(header: str, slices: Iterable[str]) -> Iterator[str]:
-    """A CSV of ``i,value`` rows, cut from the slices of :func:`_column_text` and numbered from 1."""
-    yield header + "\n"
-    done = 0
-    for text in slices:
-        values = text.split(", ")
-        yield "".join([f"{i},{v}\n" for i, v in enumerate(values, start=done + 1)])
-        done += len(values)
 
 
 def write_zipf_csv(plot: ZipfPlotData, out: IO[str]) -> None:

@@ -43,7 +43,15 @@ def poisson_sf(lam: float, t: float) -> float:
 
 
 def poisson_sf_extreme(lam: float, t: float) -> float:
-    """Pr(Poi(lam) >= t) through the incomplete gamma, valid for any scale."""
+    """Pr(Poi(lam) >= t) through scipy's incomplete gamma, for lam <= 1e6.
+
+    Past that scale scipy reads low against a 40-digit value at
+    t = lam + 5 sqrt(lam): 0.969 of it at lam = 1e7, 0.652 at 1e8 and 0.0103
+    at 1e12.  A bound checked against it there could pass while too low, so
+    a larger lam raises.
+    """
+    if lam > 1e6:
+        raise ValueError(f"poisson_sf_extreme reads low past lam = 1e6, got {lam!r}")
     return float(stats.poisson.sf(math.ceil(t) - 1, lam))
 
 
@@ -75,12 +83,17 @@ def jumper_tail_sum(params, n: int, tau: float, imax: int = 300_000) -> float:
 def horizon_tail_sum(params, m: int, t: int, k_max: int = 2**21) -> float:
     """Upper bound on the sum over ranks i > m of Pr(X_i >= t), integer t >= 1.
 
-    Ranks m < i <= K contribute their exact terms, ``poisson_sf_extreme``
+    Ranks m < i <= K contribute their terms from scipy's ``poisson.sf``,
     evaluated on a block of ranks at a time.  The rest is bounded by
     Pr(X >= t) <= lam^t / t!, and the sum over i > K of (i+k)^(-alpha t) by
     its integral from K, giving N^t (K+k)^(1 - alpha t) / (t! (alpha t - 1)).
     K doubles from 2m until that remainder is at most 1% of the exact part,
     or reaches ``k_max``.
+
+    Unlike ``poisson_sf_extreme`` it has no guard on lam: the N = 1e11
+    certificate case reaches lam = 8.4e6, where scipy reads 0.978 of the
+    40-digit value at t = lam + 5 sqrt(lam).  An oracle that is right at
+    every scale is to replace it (ROADMAP direction 11).
     """
     a_t = params.alpha * t
     log_scale = t * math.log(params.N) - math.lgamma(t + 1.0) - math.log(a_t - 1.0)

@@ -29,7 +29,6 @@ from zipforder import (
     ZipfPlotData,
     analyze,
     cli,
-    corpus,
     load_rank_counts,
     pick_n,
     prefix_error_bound,
@@ -37,7 +36,8 @@ from zipforder import (
     write_zipf_csv,
 )
 from zipforder.cli import main
-from zipforder.corpus import _CHUNK, _column_text, _point_text
+from zipforder import _text
+from zipforder._text import _CHUNK, _column_text, _point_text
 
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -776,7 +776,7 @@ class TestEnsembleFlags:
 
 # Payloads mix every JSON-encodable kind a report could hold.  Their strings,
 # keys included, hold the separators the column renderers write and the text
-# cli._json finds a column's key by, so that only the key itself may match.
+# _text._json finds a column's key by, so that only the key itself may match.
 _COLUMN_KEYS = ("adjacent_se", "points", "skipped_ranks", "per_pair_terms")
 _TRAPS = [", ", "], [", "a\nb", '"q"', "\u00e9\u6f22", "[1, 2]", '"adjacent_se": []',
           ' "points": []', '\n  "', '\n  "skipped_ranks": []', '"per_pair_terms',
@@ -835,7 +835,7 @@ _PAYLOADS = st.dictionaries(_KEYS, _TREES | _COLUMNS, max_size=6) | _TREES
 
 
 def _split(payload):
-    """The payload as json.dumps sees it, the payload cli._json takes, and
+    """The payload as json.dumps sees it, the payload _text._json takes, and
     its columns: each _Column, a dict value, gets a key of its own, named
     in document order, and holds its list or an empty one."""
     columns = []
@@ -861,8 +861,8 @@ def _split(payload):
 
 
 def _pieces(empty, columns) -> list[str]:
-    """The pieces cli._json writes for a payload whose columns are rendered as it writes."""
-    return list(cli._json(empty, [(key, c.render(), c.depth) for key, c in columns]))
+    """The pieces _text._json writes for a payload whose columns are rendered as it writes."""
+    return list(_text._json(empty, [(key, c.render(), c.depth) for key, c in columns]))
 
 
 class TestStreamedJson:
@@ -875,12 +875,12 @@ class TestStreamedJson:
         plain, empty, columns = _split(payload)
         expected = json.dumps(plain, indent=2) + "\n"
         with pytest.MonkeyPatch.context() as mp:
-            for chunk in (1, 2, corpus._CHUNK):  # small slices split short columns too
-                mp.setattr(corpus, "_CHUNK", chunk)
+            for chunk in (1, 2, _text._CHUNK):  # small slices split short columns too
+                mp.setattr(_text, "_CHUNK", chunk)
                 assert "".join(_pieces(empty, columns)) == expected
 
     def test_lists_longer_than_two_slices(self):
-        n = 2 * corpus._CHUNK + 7
+        n = 2 * _text._CHUNK + 7
         plain, empty, columns = _split({
             "flat": _Column.of_numbers([i * 0.5 if i % 3 else -i for i in range(n)] + [-0.0]),
             "nested": {"rows": _Column.of_points([0.25 * i - 9.0 for i in range(n)])},
@@ -889,7 +889,7 @@ class TestStreamedJson:
         })
         pieces = _pieces(empty, columns)
         assert "".join(pieces) == json.dumps(plain, indent=2) + "\n"
-        assert max(map(len, pieces)) < 200 * corpus._CHUNK
+        assert max(map(len, pieces)) < 200 * _text._CHUNK
 
 
 def _golden_table() -> str:
@@ -935,12 +935,14 @@ class TestAnalyzeBytes:
         se = tuple(i / 7.0 for i in range(n))
         plot = ZipfPlotData(tuple(0.25 * i for i in range(1, n + 1)), range(0), _LINES)
         payload = {"adjacent_se": [], "zipf_points": {"points": []}}
-        columns = [  # rendered while written, as analyze's columns are
-            ("adjacent_se", _column_text(se), 1), ("points", _point_text(plot), 2)]
+        # rendered while written; analyze instead holds each column's slices,
+        # which its JSON and CSVs share (5.3 MB on a 10^5-row table, under
+        # the parse's transient 13.3 MB peak, so the parse sets its memory)
+        columns = [("adjacent_se", _column_text(se), 1), ("points", _point_text(plot), 2)]
         target = tmp_path / "report.json"
         tracemalloc.start()
         try:
-            cli._emit(cli._json(payload, columns), str(target))
+            cli._emit(_text._json(payload, columns), str(target))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -958,7 +960,7 @@ class TestAnalyzeBytes:
         assert not target.exists()
 
 
-_LONG = 2 * corpus._CHUNK + 5
+_LONG = 2 * _text._CHUNK + 5
 
 
 @st.composite

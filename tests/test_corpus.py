@@ -36,7 +36,7 @@ from zipforder import (
     write_zipf_csv,
     zipf_plot_data,
 )
-from zipforder.corpus import _CHUNK
+from zipforder._text import _CHUNK
 
 
 class TestLoadRankCounts:
@@ -165,6 +165,15 @@ class TestLoadRankCounts:
         assert load_rank_counts(io.StringIO(f"a\t3\nb\t{10**308}\n")).counts == (1e308, 3.0)
         with pytest.raises(ParseError, match="line 1: count exceeds the float range"):
             load_rank_counts(io.StringIO(f"a\t{edge + 1}\n"))
+
+    @pytest.mark.parametrize("fmt", ["tsv", "csv", "auto"])
+    def test_counts_padded_with_separator_characters(self, fmt):
+        """str.strip removes \\x1c-\\x1f around a count, which int() alone refuses."""
+        sep = "," if fmt == "csv" else "\t"
+        text = f"a{sep}\x1c7\x1d\nb{sep}\x1e12\x1f\nc{sep} \x1f3\x1c\n"
+        table = load_rank_counts(io.StringIO(text), fmt=fmt)
+        assert table.counts == (12.0, 7.0, 3.0)
+        assert table.labels == ("b", "a", "c")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no data"):

@@ -133,6 +133,25 @@ def test_third_party_imports_stay_in_one_module_each():
     assert importers["scipy"] <= {"special.py"}
 
 
+def test_report_text_stays_in_one_module():
+    """``_text`` alone makes report text: it imports only the standard
+    library, no other module imports ``json``, and ``cli`` takes no private
+    name from ``corpus``."""
+    package = Path(zipforder.__file__).parent
+    text_roots = {name.split(".")[0] for name in _imported_modules(package / "_text.py")}
+    assert text_roots <= sys.stdlib_module_names
+    for path in sorted(package.glob("*.py")):
+        if path.name != "_text.py":
+            assert "json" not in {name.split(".")[0] for name in _imported_modules(path)}, path.name
+    from_corpus = {
+        alias.name
+        for node in ast.walk(ast.parse((package / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "corpus"
+        for alias in node.names
+    }
+    assert from_corpus and not {name for name in from_corpus if name.startswith("_")}
+
+
 def test_import_reports_every_traced_span():
     """A cold ``import zipforder`` imports each module the traced benchmark times.
 
