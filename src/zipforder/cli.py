@@ -2,9 +2,9 @@
 
 Subcommands: threshold, bound, pick-n, simulate, analyze.  Reports are JSON
 by default, byte for byte ``json.dumps(indent=2)`` but written in bounded
-pieces by ``_text``; the tabular subcommands also offer CSV.  Exit codes:
-0 success, 1 domain/convergence/configuration error (values beyond the float
-range included) or unreadable input, 2 usage error.
+pieces by ``_text``; the tabular subcommands also offer CSV.  ``-`` is
+stdout for every output path.  Exit codes: 0 success, 1 domain/convergence/
+configuration error (float range included) or unreadable input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Iterable
 
 from ._text import _column_text, _csv, _json, _numbered_csv, _point_text, _record, _zipf_csv
 from .bounds import EnsembleParams, _pair_terms, _pick_n_and_sum, threshold_n_prime
-from .corpus import DEFAULT_SLOPES, DEFAULT_WINDOW, analyze, load_rank_counts
+from .corpus import DEFAULT_EPSILON, DEFAULT_SLOPES, DEFAULT_WINDOW, PICK_N_CAP
+from .corpus import analyze, load_rank_counts
 from .errors import ZipfOrderError
 from .simulate import run_experiment
 
@@ -58,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pick-n", help="largest prefix whose error bound stays at or below epsilon")
     p.set_defaults(handler=_cmd_pick_n)
     _add_ensemble_flags(p)
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="error budget in (0,1) (default 0.01)")
-    p.add_argument("--n-max", type=int, default=100_000,
-                   help="search cap (default 100000)")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="error budget in (0,1) (default %(default)s)")
+    p.add_argument("--n-max", type=int, default=PICK_N_CAP,
+                   help="search cap (default %(default)s)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default json)")
 
@@ -91,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, nargs=2, default=DEFAULT_WINDOW,
                    metavar=("LO", "HI"),
                    help="rank window for local scale estimates (default 10 100)")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="error budget for pick-n (default 0.01)")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="error budget for pick-n (default %(default)s)")
     p.add_argument("--alphas", type=float, nargs="+", default=None,
                    help="sensitivity grid (default: alpha +/- 0.05)")
     p.add_argument("--slopes", type=float, nargs=2, default=DEFAULT_SLOPES,
@@ -117,7 +118,7 @@ def _emit(pieces: Iterable[str], out_path: str) -> None:
             fh.writelines(pieces)
 
 
-def _cmd_threshold(args) -> Iterable[str]:
+def _cmd_threshold(args) -> list[tuple[str, Iterable[str]]]:
     report = threshold_n_prime(args.N, args.alpha)
     payload = {
         "N": args.N,
@@ -127,16 +128,16 @@ def _cmd_threshold(args) -> Iterable[str]:
         "n_prime": report.n_prime,
         "n_prime_floor": report.n_prime_floor,
     }
-    return _record(payload, args.format)
+    return [(args.out, _record(payload, args.format))]
 
 
-def _cmd_bound(args) -> Iterable[str]:
+def _cmd_bound(args) -> list[tuple[str, Iterable[str]]]:
     params = EnsembleParams(args.N, args.alpha, args.k)
     # the terms and their slices are made lazily, while the report is
     # written, and the sum takes a pass of its own
     terms = _column_text(_pair_terms(params, args.n))
     if args.format == "csv":
-        return _numbered_csv("i,term", terms)
+        return [(args.out, _numbered_csv("i,term", terms))]
     total = math.fsum(_pair_terms(params, args.n))
     payload = {
         "n": args.n,
@@ -147,10 +148,10 @@ def _cmd_bound(args) -> Iterable[str]:
         "bonferroni_sum": total,
         "clamped_probability": min(total, 1.0),
     }
-    return _json(payload, [("per_pair_terms", terms, 1)])
+    return [(args.out, _json(payload, [("per_pair_terms", terms, 1)]))]
 
 
-def _cmd_pick_n(args) -> Iterable[str]:
+def _cmd_pick_n(args) -> list[tuple[str, Iterable[str]]]:
     params = EnsembleParams(args.N, args.alpha, args.k)
     n, bonferroni_sum = _pick_n_and_sum(params, args.epsilon, args.n_max)
     payload = {
@@ -160,10 +161,10 @@ def _cmd_pick_n(args) -> Iterable[str]:
         "cap_reached": n == args.n_max,
         "bonferroni_sum": bonferroni_sum,
     }
-    return _record(payload, args.format)
+    return [(args.out, _record(payload, args.format))]
 
 
-def _cmd_simulate(args) -> Iterable[str]:
+def _cmd_simulate(args) -> list[tuple[str, Iterable[str]]]:
     summary = run_experiment(
         EnsembleParams(args.N, args.alpha, args.k),
         reps=args.reps,
@@ -172,11 +173,11 @@ def _cmd_simulate(args) -> Iterable[str]:
         workers=args.workers,
     )
     if args.format == "csv":
-        return _csv("L,count", sorted(summary.histogram.items()))
-    return _json(summary.to_dict())
+        return [(args.out, _csv("L,count", sorted(summary.histogram.items())))]
+    return [(args.out, _json(summary.to_dict()))]
 
 
-def _cmd_analyze(args) -> Iterable[str]:
+def _cmd_analyze(args) -> list[tuple[str, Iterable[str]]]:
     source = sys.stdin if args.input == "-" else args.input
     counts = load_rank_counts(source, fmt=args.input_format, total=args.total)
     report = analyze(
@@ -191,30 +192,27 @@ def _cmd_analyze(args) -> Iterable[str]:
     # each long column is rendered once; the JSON and both CSVs share the text
     se = tuple(_column_text(report.adjacent_se))
     points = tuple(_point_text(report.zipf_points))
-    if args.zipf_csv:
-        with open(args.zipf_csv, "w", encoding="utf-8") as fh:
-            fh.writelines(_zipf_csv(points))
-    if args.se_csv:
-        with open(args.se_csv, "w", encoding="utf-8") as fh:
-            fh.writelines(_numbered_csv("i,se", se))
+    csvs = [(args.zipf_csv, _zipf_csv(points)), (args.se_csv, _numbered_csv("i,se", se))]
     # to_dict builds the long columns as lists; emptied first, it builds no
     # row, and _json writes each column in place of its empty list
     plot = report.zipf_points
     payload = replace(
         report, adjacent_se=(), zipf_points=replace(plot, ln_counts=(), skipped_ranks=range(0))
     ).to_dict()
-    return _json(payload, [
-        ("adjacent_se", se, 1),
-        ("points", points, 2),
-        ("skipped_ranks", _column_text(plot.skipped_ranks), 1),
-    ])
+    columns = [("adjacent_se", se, 1), ("points", points, 2),
+               ("skipped_ranks", _column_text(plot.skipped_ranks), 1)]
+    return [(p, pieces) for p, pieces in csvs if p] + [(args.out, _json(payload, columns))]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if [args.out, vars(args).get("zipf_csv"), vars(args).get("se_csv")].count("-") > 1:
+        parser.error("at most one of --out, --zipf-csv and --se-csv may be '-' (stdout)")
     try:
-        _emit(args.handler(args), args.out)
+        # files first, in the order given, and stdout last: a failure leaves stdout empty
+        for path, pieces in sorted(args.handler(args), key=lambda output: output[0] == "-"):
+            _emit(pieces, path)
     except (ZipfOrderError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1

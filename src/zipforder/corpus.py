@@ -47,8 +47,9 @@ __all__ = [
 
 DEFAULT_WINDOW = (10, 100)
 DEFAULT_SLOPES = (-1.0, -1.1)
+DEFAULT_EPSILON = 0.01  # error budget of pick_n
+PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not raised
 _ANCHOR_OFFSET = 0.5  # vertical gap of the reference lines, in log space
-_PICK_N_CAP = 100_000  # search cap of pick_n; reaching it is reported, not raised
 # the largest int that float() rounds to a finite value: 2^1024 - 2^970 and
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
@@ -342,7 +343,7 @@ def analyze(
     alpha: float,
     k: float = 0.0,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    epsilon: float = 0.01,
+    epsilon: float = DEFAULT_EPSILON,
     alphas: Sequence[float] | None = None,
     slopes: tuple[float, float] = DEFAULT_SLOPES,
 ) -> AnalysisReport:
@@ -366,7 +367,7 @@ def analyze(
     at_alpha = sensitivity_sweep(counts, (alpha,), lo, hi).rows[0]
     n_hat = threshold_n_hat(total, alpha)
 
-    picked = pick_n(params, epsilon, _PICK_N_CAP)
+    picked = pick_n(params, epsilon, PICK_N_CAP)
 
     grid = tuple(alphas) if alphas is not None else _default_alpha_grid(alpha)
     return AnalysisReport(
@@ -379,7 +380,7 @@ def analyze(
         n_prime=at_alpha.n_prime,
         n_hat=n_hat,
         pick_n_result=picked,
-        pick_n_cap_reached=picked == _PICK_N_CAP,
+        pick_n_cap_reached=picked == PICK_N_CAP,
         adjacent_se=adjacent_se(counts),
         zipf_points=zipf_plot_data(counts, slopes),
         reference_slopes=slopes,

@@ -178,6 +178,21 @@ class TestPoissonTailBounds:
     def test_large_lam_is_trivial_bound(self, bound, lam, t):
         assert bound(lam, t) == 1.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 3: -lam + t ln lam - lgamma(t+1) cancels from lam of "
+        "about 1e14 on, so the bound falls below its own formula there"))
+    def test_upper_holds_its_formula_at_large_lam(self):
+        """At t = lam + z sqrt(lam) the bound is at least its formula
+        e^-lam lam^t / Gamma(t+1) / (1 - lam/(t+1)), evaluated at 60 digits
+        from the same float t; it reads 0.63, 0.16 and 0 of it here."""
+        for lam, z in [(1e14, 5.0), (1e15, 20.0), (1e18, 10.0)]:
+            t = lam + z * math.sqrt(lam)
+            with mp.workdps(60):
+                lam_mp, t_mp = mp.mpf(lam), mp.mpf(t)
+                log_mass = -lam_mp + t_mp * mp.log(lam_mp) - mp.loggamma(t_mp + 1)
+                formula = mp.exp(log_mass) / (1 - lam_mp / (t_mp + 1))
+                assert poisson_upper_tail_bound(lam, t) >= (1 - mp.mpf(1e-9)) * formula, (lam, z)
+
     def test_clamped_to_one(self):
         """Near t = lam the geometric factor pushes the raw ratio past 1."""
         assert poisson_upper_tail_bound(100.0, 100.0) == 1.0

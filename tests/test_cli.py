@@ -163,7 +163,7 @@ class TestBound:
         args = cli._build_parser().parse_args(argv)
         terms = prefix_error_bound(args.n, EnsembleParams(args.N, args.alpha)).per_pair_terms
         text = sum(map(len, _column_text(terms)))
-        pieces = args.handler(args)
+        [(_, pieces)] = args.handler(args)
         target = tmp_path / f"bound.{fmt}"
         tracemalloc.start()
         try:
@@ -590,6 +590,46 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith("zipforder: error:")
         assert len(err.splitlines()) == 1
+
+
+class TestStdoutRule:
+    """``-`` is stdout for every output path, and at most one output may be ``-``."""
+
+    ANALYZE = ["analyze", "--input", BNC_TOP10, "--alpha", "1.106", "--total", "1e8"]
+
+    def test_zipf_csv_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *self.ANALYZE, "--zipf-csv", "zipf.csv")[0] == 0
+        code, out, err = run_cli(
+            capsys, *self.ANALYZE, "--zipf-csv", "-", "--se-csv", "se.csv", "--out", "out.json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (tmp_path / "zipf.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "se.csv").exists() and (tmp_path / "out.json").exists()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("outputs", [
+        ["--zipf-csv", "-"],
+        ["--se-csv", "-"],
+        ["--zipf-csv", "-", "--se-csv", "-", "--out", "out.json"],
+    ])
+    def test_two_stdout_outputs_are_a_usage_error(self, capsys, tmp_path, monkeypatch, outputs):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ANALYZE, *outputs])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "at most one of --out, --zipf-csv and --se-csv" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_file_write_leaves_stdout_empty(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, *self.ANALYZE, "--zipf-csv", "-", "--out", str(tmp_path / "missing" / "x.json")
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:
@@ -1100,7 +1140,7 @@ def test_analyze_payload_copies_no_rows(monkeypatch):
         map(len, _point_text(report.zipf_points)))
     tracemalloc.start()
     try:
-        pieces = args.handler(args)
+        [(_, pieces)] = args.handler(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

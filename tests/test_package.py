@@ -152,6 +152,36 @@ def test_report_text_stays_in_one_module():
     assert from_corpus and not {name for name in from_corpus if name.startswith("_")}
 
 
+def _open_users(path):
+    """The functions of a source file, as ``module.function``, that name
+    ``open`` (the builtin, or an ``open`` attribute such as ``io.open``)."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == "open") or (
+                isinstance(child, ast.Attribute) and child.attr == "open"
+            ):
+                users.add(".".join([path.stem, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return users
+
+
+def test_one_writer_opens_every_output():
+    """``cli._emit`` writes every output, with ``-`` as stdout, and
+    ``corpus.load_rank_counts`` reads every table: no other code of the
+    package opens a file."""
+    sources = sorted(Path(zipforder.__file__).parent.glob("*.py"))
+    assert sources
+    users = set().union(*map(_open_users, sources))
+    assert users == {"cli._emit", "corpus.load_rank_counts"}
+
+
 def test_import_reports_every_traced_span():
     """A cold ``import zipforder`` imports each module the traced benchmark times.
 
