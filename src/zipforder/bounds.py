@@ -58,6 +58,14 @@ def _shifted_rank(i: int, k: float) -> float:
     return i + k
 
 
+def _check_law(alpha: float, k: float = 0.0) -> None:
+    # the one statement of the law's domain, for EnsembleParams and every function of the law
+    if not (alpha > 1.0) or math.isinf(alpha):
+        raise DomainError(f"alpha must be finite and > 1, got {alpha}")
+    if not (k >= 0.0) or math.isinf(k):
+        raise DomainError(f"k must be finite and >= 0, got {k}")
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Scale N, decay exponent alpha and shift k of the mean law N (i+k)^-alpha."""
@@ -69,10 +77,7 @@ class EnsembleParams:
     def __post_init__(self):
         if not (self.N > 0.0) or math.isinf(self.N):
             raise DomainError(f"N must be finite and > 0, got {self.N}")
-        if not (self.alpha > 1.0) or math.isinf(self.alpha):
-            raise DomainError(f"alpha must be finite and > 1, got {self.alpha}")
-        if not (self.k >= 0.0) or math.isinf(self.k):
-            raise DomainError(f"k must be finite and >= 0, got {self.k}")
+        _check_law(self.alpha, self.k)
 
     def mean_of(self, i: int) -> float:
         """Expected count of the rank-i entity, lambda_i = N (i+k)^-alpha."""
@@ -263,8 +268,7 @@ def _pick_n_and_sum(params: EnsembleParams, epsilon: float, n_max: int) -> tuple
 
 def threshold_A(alpha: float) -> float:
     """The threshold constant A(alpha) = alpha^2 (alpha + 2) / 4 (> 3/4 for alpha > 1)."""
-    if not (alpha > 1.0) or math.isinf(alpha):
-        raise DomainError(f"alpha must be finite and > 1, got {alpha}")
+    _check_law(alpha)
     a_const = alpha * alpha * (alpha + 2.0) / 4.0
     if math.isinf(a_const):
         raise DomainError(f"A(alpha) exceeds the float range at alpha={alpha}")
@@ -305,17 +309,19 @@ def jumper_bound(n: int, tau: float, params: EnsembleParams) -> float:
     inv_alpha = 1.0 / params.alpha
     if tau < lam_n:
         raise DomainError(f"jumper level must satisfy tau >= lambda_n={lam_n}, got {tau}")
-    if tau <= inv_alpha:
+    # tau - 1/alpha from the exact ratios, rounded once, so nothing cancels near 1/alpha
+    (a, b), (c, d) = tau.as_integer_ratio(), params.alpha.as_integer_ratio()
+    excess = (a * c - b * d) / (b * c)
+    if excess <= 0.0:
         raise DomainError(f"jumper level must exceed 1/alpha={inv_alpha}, got {tau}")
-    # tau + 1 - lambda_n is at least 1; from 2^53 on tau + 1 can round to
-    # tau = lambda_n, and the difference to 0
-    gap = tau + 1.0 - lam_n or 1.0
+    # tau + 1 - lambda_n, the 1 added last: tau - lambda_n is exact for tau <= 2 lambda_n
+    gap = (tau - lam_n) + 1.0
     # the product in logs, as its first two factors can pass the float range
     # while the last one underflows; capped far above 1
     log_bound = (
         math.log(params.N) * inv_alpha - math.log(params.alpha)
         + math.log(tau + 1.0) - math.log(gap)
-        - math.log(tau) * inv_alpha - math.log(tau - inv_alpha)
+        - math.log(tau) * inv_alpha - math.log(excess)
     )
     return math.exp(min(log_bound, 709.0))
 

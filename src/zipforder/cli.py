@@ -201,7 +201,7 @@ def _cmd_analyze(args) -> list[tuple[str, Iterable[str]]]:
     ).to_dict()
     columns = [("adjacent_se", se, 1), ("points", points, 2),
                ("skipped_ranks", _column_text(plot.skipped_ranks), 1)]
-    return [(p, pieces) for p, pieces in csvs if p] + [(args.out, _json(payload, columns))]
+    return [csv for csv in csvs if csv[0] is not None] + [(args.out, _json(payload, columns))]
 
 
 def main(argv: list[str] | None = None) -> int:

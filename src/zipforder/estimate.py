@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bounds import threshold_n_prime
+from .bounds import _check_law, threshold_n_prime
 from .errors import DomainError
 from .special import hurwitz_zeta
 
@@ -113,8 +113,7 @@ def estimate_N_total(T: float, alpha: float, k: float) -> float:
     """
     if not (T > 0.0) or math.isinf(T):
         raise DomainError(f"T must be finite and > 0, got {T}")
-    if not (k >= 0.0) or math.isinf(k):
-        raise DomainError(f"k must be finite and >= 0, got {k}")
+    _check_law(alpha, k)
     zeta = hurwitz_zeta(alpha, k + 1.0)
     if zeta == 0.0 or math.isinf(T / zeta):
         raise DomainError(
@@ -135,8 +134,7 @@ def local_scale_estimates(
 
     The minimum is conservative: a smaller N gives a smaller threshold.
     """
-    if not (alpha > 1.0) or math.isinf(alpha):
-        raise DomainError(f"alpha must be finite and > 1, got {alpha}")
+    _check_law(alpha)
     if not 1 <= lo <= hi <= len(counts):
         raise DomainError(
             f"window [{lo}, {hi}] invalid for a table of length {len(counts)}"

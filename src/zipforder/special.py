@@ -96,12 +96,11 @@ def solve_zeta_equals(c: float) -> float:
 
     zeta is strictly decreasing from +inf to 1 on (1, inf), so any c > 1 has
     exactly one preimage.  A verified bracket is expanded first, then Brent's
-    method (bisection refined by secant/inverse-quadratic steps) polishes it.
-    Near alpha = 1 adjacent floats step zeta by more than the residual
-    tolerance (from c of about 5e3 on); there the converged root is bisected
-    on floats to the adjacent pair that brackets c, and the one nearer c is
-    returned.  Above zeta(1 + 2^-52), about 4.5e15, no float alpha brackets
-    c from below and ``ConvergenceError`` is raised.
+    method (bisection refined by secant/inverse-quadratic steps) narrows it
+    to a span of _XTOL + _RTOL * alpha around the root.  That span is bisected
+    on floats to the adjacent pair whose zeta values bracket c, and the one
+    nearer c is returned.  Above zeta(1 + 2^-52), about 4.5e15, no float
+    alpha brackets c from below and ``ConvergenceError`` is raised.
     """
     if not (c > 1.0) or math.isinf(c):
         raise DomainError(f"solve_zeta_equals requires finite c > 1, got {c}")
@@ -126,26 +125,20 @@ def solve_zeta_equals(c: float) -> float:
         full_output=True,
         disp=False,
     )
-    tol = 10.0 * c * _REL_TOL
-    residual = abs(riemann_zeta(root) - c)
-    if res.converged and residual > tol:
-        # brentq stopped with c bracketed within xtol + rtol * root of root,
-        # a span of tens of floats near alpha = 1, where one float step
-        # moves zeta by about c^2 ulp(1): bisect it down to adjacent floats.
-        span = _XTOL + _RTOL * root
-        lo = max(root - span, 1.0 + lo_off)
-        hi = min(root + span, 1.0 + hi_off)
-        z_lo, z_hi = riemann_zeta(lo), riemann_zeta(hi)
-        if z_lo >= c >= z_hi:
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                z_mid = riemann_zeta(mid)
-                if z_mid > c:
-                    lo, z_lo = mid, z_mid
-                else:
-                    hi, z_hi = mid, z_mid
-            return lo if z_lo - c < c - z_hi else hi
-    if not res.converged or residual > tol:
-        raise ConvergenceError(
-            f"zeta inversion at c={c} stalled (residual {residual:.3e})"
-        )
-    return root
+    if not res.converged:
+        raise ConvergenceError(f"zeta inversion at c={c} did not converge in {_MAX_ITER} steps")
+    # Brent stops with c bracketed within _XTOL + _RTOL * root of the root,
+    # inside the verified bracket
+    span = _XTOL + _RTOL * root
+    lo = max(root - span, 1.0 + lo_off)
+    hi = min(root + span, 1.0 + hi_off)
+    z_lo, z_hi = riemann_zeta(lo), riemann_zeta(hi)
+    if not z_lo >= c >= z_hi:
+        raise ConvergenceError(f"zeta inversion at c={c}: Brent's span does not bracket c")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        z_mid = riemann_zeta(mid)
+        if z_mid > c:
+            lo, z_lo = mid, z_mid
+        else:
+            hi, z_hi = mid, z_mid
+    return lo if z_lo - c < c - z_hi else hi

@@ -721,6 +721,26 @@ class TestFloatRange:
             assert jumper_bound(n, tau, params) == pytest.approx(
                 jumper, rel=1e-13, abs=0.0), (n, tau, params)
 
+    def test_jumper_near_its_level_matches_mpmath(self):
+        """The jumper bound keeps its digits as tau nears 1/alpha: on 3,000
+        seeded points with tau from 1 + 1e-12 to 1 + 1e-3 times
+        max(lambda_n, 1/alpha), laws drawn as above, it agrees with its
+        formula at 50 digits, where tau - 1/alpha is exact."""
+        rng = np.random.default_rng(20261021)
+        for _ in range(3000):
+            params = EnsembleParams(
+                float(10.0 ** rng.uniform(-3.0, 18.0)),
+                1.0 + float(10.0 ** rng.uniform(-6.0, 1.0)),
+                float(rng.choice([0.0, 0.5, 2.5, 1e3])),
+            )
+            n = int(10.0 ** rng.uniform(math.log10(2.0), 5.0))
+            floor = max(params.mean_of(n), 1.0 / params.alpha)
+            tau = floor * (1.0 + float(10.0 ** rng.uniform(-12.0, -3.0)))
+            with mp.workdps(50):
+                jumper = float(_jumper_mp(n, tau, params))
+            assert jumper_bound(n, tau, params) == pytest.approx(
+                jumper, rel=1e-13, abs=0.0), (n, tau, params)
+
     def test_grid_raises_only_typed_errors(self):
         """Over N, alpha and k at the float range's ends every call returns a
         finite value or raises a ZipfOrderError."""

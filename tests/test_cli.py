@@ -86,6 +86,18 @@ class TestThreshold:
         assert exc.value.code == 2
 
 
+class TestLawDomain:
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--N", "1e7", "--alpha", "1"],
+        ["analyze", "--input", BNC_TOP10, "--alpha", "1", "--total", "1e8"],
+    ], ids=["threshold", "analyze"])
+    def test_alpha_one_names_the_law(self, capsys, argv):
+        """alpha = 1 is refused with the law's rule, whichever function meets it first."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "zipforder: error: alpha must be finite and > 1, got 1.0\n"
+
+
 class TestBound:
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -620,6 +632,16 @@ class TestStdoutRule:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "at most one of --out, --zipf-csv and --se-csv" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--zipf-csv", "--se-csv"])
+    def test_empty_side_path_is_refused(self, capsys, tmp_path, monkeypatch, flag):
+        """An empty side-output path fails as an empty ``--out`` does, rather
+        than being dropped without a word."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *self.ANALYZE, flag, "")
+        assert (code, out) == (1, "")
+        assert err.startswith("zipforder: error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_file_write_leaves_stdout_empty(self, capsys, tmp_path, monkeypatch):

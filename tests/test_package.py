@@ -91,6 +91,34 @@ def test_nan_argument_raises_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: threshold_A(1.0),
+        lambda: threshold_n_prime(1e7, 1.0),
+        lambda: local_scale_estimates(_TABLE, 1.0, 1, 2),
+        lambda: estimate_N_total(1e7, 1.0, 0.0),
+        lambda: estimate_N_total(1e7, 1.0, 2.5),
+    ],
+    ids=["threshold_A", "threshold_n_prime", "local_scale_estimates", "estimate_N_total",
+         "estimate_N_total-shifted"],
+)
+def test_alpha_one_is_refused_by_the_law(call):
+    """alpha = 1 lies just outside the law's domain, and each function of the
+    law refuses it with the law's own message, not zeta's."""
+    with pytest.raises(DomainError, match=r"^alpha must be finite and > 1, got 1\.0$"):
+        call()
+
+
+@pytest.mark.parametrize("message", ["alpha must be finite and > 1", "k must be finite and >= 0"])
+def test_law_domain_is_stated_once(message):
+    """The law's domain has one check (``bounds._check_law``): each of its
+    messages is written once in the package's sources."""
+    sources = sorted(Path(zipforder.__file__).parent.glob("*.py"))
+    assert sources
+    assert sum(path.read_text(encoding="utf-8").count(message) for path in sources) == 1
+
+
 def _imported_modules(path):
     """Module names a source file imports, a relative one with its leading dots."""
     names = set()

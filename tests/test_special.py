@@ -17,6 +17,11 @@ from zipforder import (
 
 mp.mp.dps = 30
 
+# 1,000 seeded c from 1 + 1e-12 to 4e15, log-uniform in c - 1
+_SEEDED_C = [
+    1.0 + float(x) for x in 10.0 ** np.random.default_rng(36).uniform(-12.0, math.log10(4e15), 1000)
+]
+
 
 class TestLnGamma:
     """math.lgamma, which the Poisson tail bounds use for t!."""
@@ -148,15 +153,15 @@ class TestSolveZetaEquals:
             alpha = solve_zeta_equals(c)
             assert abs(riemann_zeta(alpha) - c) <= 10.0 * c * 1e-12
 
-    @pytest.mark.parametrize("c", [4934.0, 1e6, 1e9, 1e12, 1e15])
+    @pytest.mark.parametrize("c", [4934.0, 1e6, 1e9, 1e12, 1e15, *_SEEDED_C])
     def test_float_bracket(self, c):
-        """Where one float step moves zeta past the tolerance, the root's neighbours bracket c."""
+        """The root's float neighbours bracket c, and the root is nearer c
+        than either; zeta(1) is +inf, below the least float root 1 + 2^-52."""
         alpha = solve_zeta_equals(c)
-        below, above = math.nextafter(alpha, 1.0), math.nextafter(alpha, 2.0)
-        assert riemann_zeta(below) >= c >= riemann_zeta(above)
-        assert abs(riemann_zeta(alpha) - c) <= min(
-            riemann_zeta(below) - c, c - riemann_zeta(above)
-        )
+        below, above = math.nextafter(alpha, 1.0), math.nextafter(alpha, math.inf)
+        z_below = riemann_zeta(below) if below > 1.0 else math.inf
+        assert z_below >= c >= riemann_zeta(above)
+        assert abs(riemann_zeta(alpha) - c) <= min(z_below - c, c - riemann_zeta(above))
         if c == 4934.0:
             assert abs(riemann_zeta(alpha) - c) <= 10.0 * c * 1e-12
 
