@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ._text import _column_text, _csv, _json, _numbered_csv, _point_text, _record, _zipf_csv
 from .bounds import EnsembleParams, _pair_terms, _pick_n_and_sum, threshold_n_prime
-from .corpus import DEFAULT_EPSILON, DEFAULT_SLOPES, DEFAULT_WINDOW, PICK_N_CAP
+from .corpus import DEFAULT_EPSILON, DEFAULT_FORMAT, DEFAULT_SLOPES, DEFAULT_WINDOW, PICK_N_CAP
 from .corpus import analyze, load_rank_counts
 from .errors import ZipfOrderError
 from .simulate import run_experiment
@@ -82,8 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis of a rank-count table")
     p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--input", required=True, help="TSV/CSV path, or '-' for stdin")
-    p.add_argument("--input-format", choices=("tsv", "csv", "auto"), default="auto",
-                   help="input delimiter; auto sniffs tabs (default auto)")
+    p.add_argument("--input-format", choices=("tsv", "csv", "auto"),
+                   default=DEFAULT_FORMAT,
+                   help="input delimiter; auto sniffs tabs (default %(default)s)")
     p.add_argument("--alpha", type=float, required=True,
                    help="power-law decay exponent, must exceed 1")
     p.add_argument("--k", type=float, default=0.0, help="rank shift (default 0)")

@@ -1,11 +1,11 @@
 """Rank-count table ingestion and whole-corpus ordering analysis.
 
 Input format: UTF-8 TSV or CSV with columns (label, count) or
-(rank, label, count); '#' lines are comments, and the first record is a
-header only when its count field is no number, even with ',' and '_'
-removed.  The analysis composes the scale estimators,
-ordering thresholds and diagnostics into one self-describing report; plot
-rendering is left to external tools, only plot data is emitted.
+(rank, label, count), after one optional byte-order mark; '#' lines are
+comments, and the first record is a header only when its count field is no
+number, even with ',' and '_' removed.  The analysis composes the scale
+estimators, ordering thresholds and diagnostics into one self-describing
+report; plot rendering is left to external tools, only plot data is emitted.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "write_se_csv",
 ]
 
+DEFAULT_FORMAT = "auto"  # how load_rank_counts and analyze --input-format read a table
 DEFAULT_WINDOW = (10, 100)
 DEFAULT_SLOPES = (-1.0, -1.1)
 DEFAULT_EPSILON = 0.01  # error budget of pick_n
@@ -54,6 +55,7 @@ _ANCHOR_OFFSET = 0.5  # vertical gap of the reference lines, in log space
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
 _SHOWN = 40  # characters of a bad field that an error message echoes
+_BLOCK = 4096  # lines checked as UTF-8 at once
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,22 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _utf8_lines(lines: Iterator[str]) -> Iterator[str]:
+    """``lines`` without one leading byte-order mark, each checked as UTF-8
+    before it is yielded: a stream may carry undecodable bytes as lone
+    surrogates.  A line that is not a str passes unchecked, and csv names it."""
+    block = list(itertools.islice(lines, _BLOCK))
+    if block and isinstance(block[0], str):
+        block[0] = block[0].removeprefix("\ufeff")
+    while block:
+        try:
+            "".join(block).encode("utf-8")
+        except TypeError:  # a line that is not a str: check the lines before it
+            "".join(itertools.takewhile(lambda line: isinstance(line, str), block)).encode("utf-8")
+        yield from block
+        block = list(itertools.islice(lines, _BLOCK))
+
+
 def _records(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """The records csv reads from ``lines`` that are neither blank nor a '#'
     comment, as the physical line each starts on and its stripped fields."""
@@ -211,26 +229,32 @@ def _records(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[s
 
 
 def load_rank_counts(
-    source, fmt: str = "tsv", total: float | None = None
+    source, fmt: str = DEFAULT_FORMAT, total: float | None = None
 ) -> RankedCounts:
     """Parse a (label, count) or (rank, label, count) table into ranked form.
 
     Records are sorted by count descending and ranks reassigned 1..len; the
     sort is stable, so ties keep their input order.  ``total`` overrides the
-    table sum for truncated tables.  ``fmt="auto"`` picks TSV when csv, reading
-    with tabs, finds more than one field in the first record that is not
-    blank or a '#' comment, and CSV otherwise.
+    table sum for truncated tables.
 
     ``source`` is a path, read as UTF-8, a text stream or an iterable of
-    lines; a quoted field may span lines, and an error names the physical
-    line its record starts on.
+    lines, and each is read by one rule.  One leading byte-order mark
+    (U+FEFF) is dropped.  A line that is not UTF-8 raises ParseError
+    wherever it sits, so a lone surrogate that a stream kept for an
+    undecodable byte fails as that byte does in a file.  A quoted field may
+    span lines, and an error names the physical line its record starts on.
+
+    ``fmt="auto"``, the default, picks TSV when csv, reading with tabs, finds
+    more than one field in the first record that is not blank or a '#'
+    comment, and CSV otherwise; a table that ``fmt="tsv"`` reads reads the
+    same under it.
     """
     if fmt not in ("tsv", "csv", "auto"):
         raise DomainError(f"format must be 'tsv', 'csv' or 'auto', got {fmt!r}")
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", newline="") as fh:
             return load_rank_counts(fh, fmt, total)
-    lines = iter(source)
+    lines = _utf8_lines(iter(source))
     labels: list[str] = []
     counts: list[int] = []
     header_skipped = False
@@ -272,15 +296,14 @@ def load_rank_counts(
                 raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
             labels.append(label)
             counts.append(count)
-        # reverse=True keeps the sort stable: ties stay in input order
-        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
-        labels = list(map(labels.__getitem__, order))
-        text = "".join(labels)
-        text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
     except UnicodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from None
     if not counts:
         raise ParseError("no data records found in input")
+    # reverse=True keeps the sort stable: ties stay in input order
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    labels = list(map(labels.__getitem__, order))
+    text = "".join(labels)
     ends = array("q", itertools.accumulate(map(len, labels), initial=0))
     del labels  # a str per label is 49 bytes or more: free them before the counts column
     # runs are cut on the floats, so counts that round to one float share it

@@ -428,6 +428,20 @@ class TestAnalyze:
         assert err.startswith("zipforder: error:") and "UTF-8" in err
         assert "Traceback" not in err
 
+    def test_byte_order_mark_changes_no_report_byte(self, capsys, monkeypatch, tmp_path):
+        text = "the,6187267\nof,3093444\nand,2687863\n"
+        argv = ("analyze", "--alpha", "1.106", "--total", "1e8", "--window", "1", "3")
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        code, expected, _ = run_cli(capsys, *argv, "--input", str(plain))
+        assert code == 0
+        assert json.loads(expected)["counts_summary"]["top"][0] == [1, "the", 6187267.0]
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert run_cli(capsys, *argv, "--input", str(marked)) == (0, expected, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert run_cli(capsys, *argv, "--input", "-") == (0, expected, "")
+
     def test_count_beyond_float_range_exit_code(self, capsys, tmp_path):
         table = tmp_path / "huge.tsv"
         table.write_text("a\t1" + "0" * 400 + "\nb\t3\n")
@@ -718,6 +732,24 @@ class TestProcess:
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr.startswith(b"zipforder: error: ")
         assert proc.stderr.count(b"\n") == 1
+
+    def test_undecodable_stdin_is_an_error(self, tmp_path):
+        """Stdin that the interpreter decodes with surrogateescape fails on an
+        undecodable count as the same bytes do by path; patching sys.stdin
+        in-process cannot show how the interpreter decodes its own stdin."""
+        data = b"a\t\xff9\nb\t3\n"
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "zipforder.cli", "analyze", "--alpha", "1.5",
+                "--window", "1", "1", "--input"]
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUTF8": "1"}
+        for proc in (
+            subprocess.run([*argv, "-"], input=data, capture_output=True, env=env, timeout=120),
+            subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=120),
+        ):
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr.startswith(b"zipforder: error: input is not UTF-8: ")
+            assert proc.stderr.count(b"\n") == 1
 
     def test_usage_error(self):
         proc = run_process("threshold", "--N", "1e7")

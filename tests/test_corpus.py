@@ -349,6 +349,94 @@ class TestTableStream:
         assert peak < 170 * n
 
 
+def _sources(data: bytes, tmp_path: Path) -> list:
+    """``data`` as a path, as a text stream that keeps undecodable bytes as
+    lone surrogates, as stdin does without a UTF-8 locale, and as its lines."""
+    path = tmp_path / "table.txt"
+    path.write_bytes(data)
+
+    def stream():
+        return io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=""
+        )
+
+    return [path, stream(), stream().readlines()]
+
+
+class TestReadingRule:
+    """A path, a text stream and a list of lines are read by one rule: one
+    format default, one UTF-8 check of every line, one byte-order-mark rule."""
+
+    @pytest.mark.parametrize("data", [
+        b"a\t\xff9\nb\t3\n",  # the first record's count, once taken for a header
+        b"a\t9\nb\t\xff3\n",  # a later count
+        b"w\xffrd\tcount\na\t9\n",  # a header's label
+        b"# \xff\na\t9\n",  # a comment
+        b"1\ta\t9\n\xff2\tb\t3\n",  # the rank field of a 3-column row
+        b"a\t9\nb\t3\n" * 3000 + b"\xff\t1\n",  # a label past the first block of lines
+    ], ids=["first-count", "later-count", "header", "comment", "rank", "late-label"])
+    @pytest.mark.parametrize("fmt", ["auto", "tsv"])
+    def test_undecodable_byte_is_parse_error_anywhere(self, tmp_path, data, fmt):
+        for source in _sources(data, tmp_path):
+            with pytest.raises(ParseError, match="^input is not UTF-8: "):
+                load_rank_counts(source, fmt=fmt)
+
+    def test_surrogate_before_a_line_that_is_not_a_str(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_rank_counts(["a\t\udcff9\n", None])
+
+    @pytest.mark.parametrize("source, message", [
+        ([b"a\t9\n"], "line 1: iterator should return strings, not bytes"),
+        (io.BytesIO(b"a\t9\n"), "line 1: iterator should return strings, not bytes"),
+        (["# a list", None], "line 2: iterator should return strings, not NoneType"),
+        ([None], "line 1: iterator should return strings, not NoneType"),
+        ([], "no data records found in input"),
+    ], ids=["bytes-list", "bytes-stream", "none-later", "none-first", "empty"])
+    @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
+    def test_lines_that_are_not_text_keep_their_errors(self, source, message, fmt):
+        if isinstance(source, io.BytesIO):
+            source = io.BytesIO(source.getvalue())  # one fresh stream per format
+        with pytest.raises(ParseError, match=f"^{message}"):
+            load_rank_counts(source, fmt=fmt)
+
+    @pytest.mark.parametrize("text", [
+        "the\t6187267\nof\t3093444\n",
+        "word\tcount\nthe\t6187267\nof\t3093444\n",
+        "# BNC\tlist\nthe\t6187267\nof\t3093444\n",
+        "the,6187267\nof,3093444\n",
+        "word,count\nthe,6187267\nof,3093444\n",
+        "# BNC list\nthe,6187267\nof,3093444\n",
+        '"the",6187267\nof,3093444\n',
+    ])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        fmt = "tsv" if "\t6" in text else "csv"
+        plain = load_rank_counts(io.StringIO(text), fmt=fmt)
+        assert plain.labels == ("the", "of")
+        for source in _sources(("\ufeff" + text).encode("utf-8"), tmp_path):
+            source = source if isinstance(source, Path) else list(source)
+            for f in (fmt, "auto"):
+                assert load_rank_counts(source, fmt=f) == plain
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        table = load_rank_counts(["\ufeff\ufeffthe\t9\n", "\ufeffof\t3\n"])
+        assert table.labels == ("\ufeffthe", "\ufeffof")
+
+    def test_default_reads_tsv_as_tsv(self, bnc_top10_path):
+        assert load_rank_counts(bnc_top10_path) == load_rank_counts(bnc_top10_path, fmt="tsv")
+        counts = _poisson_zipf_counts(10_000, 1.25e5, seed=37)
+        lines = [f"w{j:05d}\t{c}\n" for j, c in enumerate(counts)]
+        assert load_rank_counts(lines) == load_rank_counts(lines, fmt="tsv")
+        header = ["rank\tword\tcount\n"] + [f"{j}\t{line}" for j, line in enumerate(lines)]
+        assert load_rank_counts(header) == load_rank_counts(header, fmt="tsv")
+
+    def test_default_reads_csv(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("word,count\nthe,6187267\nof,3093444\n", encoding="utf-8")
+        table = load_rank_counts(path)
+        assert table == load_rank_counts(path, fmt="csv")
+        assert table.labels == ("the", "of")
+
+
 # Labels by script, each set with an empty label, for tables of counts 9, 8, ...
 _LABEL_SETS = {
     "ascii": ["the", "", "of", "and"],

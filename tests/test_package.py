@@ -3,6 +3,7 @@ the modules the sources import and a cold import loads, and the README's
 examples."""
 
 import ast
+import inspect
 import math
 import os
 import re
@@ -18,11 +19,13 @@ from zipforder import (
     DomainError,
     RankedCounts,
     bounds,
+    cli,
     corpus,
     errors,
     estimate,
     estimate_N_total,
     hurwitz_zeta,
+    load_rank_counts,
     local_scale_estimates,
     poisson_lower_tail_bound,
     poisson_upper_tail_bound,
@@ -208,6 +211,14 @@ def test_one_writer_opens_every_output():
     assert sources
     users = set().union(*map(_open_users, sources))
     assert users == {"cli._emit", "corpus.load_rank_counts"}
+
+
+def test_one_table_format_default():
+    """The loader and ``analyze --input-format`` default to ``corpus.DEFAULT_FORMAT``."""
+    default = inspect.signature(load_rank_counts).parameters["fmt"].default
+    assert default is corpus.DEFAULT_FORMAT == "auto"
+    args = cli._build_parser().parse_args(["analyze", "--input", "-", "--alpha", "1.5"])
+    assert args.input_format is corpus.DEFAULT_FORMAT
 
 
 def test_import_reports_every_traced_span():
