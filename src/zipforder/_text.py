@@ -27,13 +27,12 @@ def _per_run(fn: Callable, values: Iterable) -> Iterator:
     """``map(fn, values)`` with one call of ``fn`` per run of equal values,
     whose result every item of the run shares.
 
-    Runs are cut with ``!=``, which takes 0.0 and -0.0 as equal; no column
-    this runs on holds -0.0 (counts are ints >= 0, and no log is -0.0), so a
-    run never joins values with different reprs.
+    Runs are cut with ``!=`` and, between zeros, by sign: 0.0 == -0.0, but
+    their reprs differ, so a run never joins values with different reprs.
     """
     last = result = None
     for x in values:
-        if x != last:
+        if x != last or not x and math.copysign(1.0, x) != math.copysign(1.0, last):
             last, result = x, fn(x)
         yield result
 

@@ -81,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis of a rank-count table")
     p.set_defaults(handler=_cmd_analyze)
-    p.add_argument("--input", required=True, help="TSV/CSV path, or '-' for stdin")
+    p.add_argument("--input", required=True,
+                   help="UTF-8 TSV/CSV path, or '-' for stdin, read as a file in any locale")
     p.add_argument("--input-format", choices=("tsv", "csv", "auto"),
                    default=DEFAULT_FORMAT,
                    help="input delimiter; auto sniffs tabs (default %(default)s)")
@@ -113,6 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(pieces: Iterable[str], out_path: str) -> None:
     if out_path == "-":
+        if sys.stdout is None:  # the process started with stdout closed
+            raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -179,7 +182,10 @@ def _cmd_simulate(args) -> list[tuple[str, Iterable[str]]]:
 
 
 def _cmd_analyze(args) -> list[tuple[str, Iterable[str]]]:
-    source = sys.stdin if args.input == "-" else args.input
+    try:  # stdin's bytes, read as a file's are; sys.stdin is None if it was closed at start
+        source = sys.stdin.buffer if args.input == "-" else args.input
+    except AttributeError:
+        raise OSError("stdin is closed") from None
     counts = load_rank_counts(source, fmt=args.input_format, total=args.total)
     report = analyze(
         counts,

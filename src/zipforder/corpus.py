@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import itertools
 import math
 import operator
@@ -199,17 +200,33 @@ def _is_number(field: str) -> bool:
 
 def _utf8_lines(lines: Iterator[str]) -> Iterator[str]:
     """``lines`` without one leading byte-order mark, each checked as UTF-8
-    before it is yielded: a stream may carry undecodable bytes as lone
-    surrogates.  A line that is not a str passes unchecked, and csv names it."""
+    before it is yielded.  The loader's decoder keeps an undecodable byte as
+    a lone surrogate, as a caller's stream may, and the first one raises
+    ParseError naming its line, as csv counts lines, and column.  A line
+    that is not a str passes unchecked, with the lines after it, and csv
+    names it."""
     block = list(itertools.islice(lines, _BLOCK))
     if block and isinstance(block[0], str):
         block[0] = block[0].removeprefix("\ufeff")
+    start = 1  # the line number of block[0]
     while block:
         try:
             "".join(block).encode("utf-8")
-        except TypeError:  # a line that is not a str: check the lines before it
-            "".join(itertools.takewhile(lambda line: isinstance(line, str), block)).encode("utf-8")
+        except (UnicodeEncodeError, TypeError):  # find the line
+            for line_no, line in enumerate(block, start):
+                if not isinstance(line, str):
+                    break
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    code = ord(line[exc.start])
+                    bad = (f"undecodable byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF
+                           else f"lone surrogate U+{code:04X}")
+                    raise ParseError(
+                        f"input is not UTF-8: {bad} at column {exc.start + 1}", line=line_no
+                    ) from None
         yield from block
+        start += len(block)
         block = list(itertools.islice(lines, _BLOCK))
 
 
@@ -237,12 +254,16 @@ def load_rank_counts(
     sort is stable, so ties keep their input order.  ``total`` overrides the
     table sum for truncated tables.
 
-    ``source`` is a path, read as UTF-8, a text stream or an iterable of
-    lines, and each is read by one rule.  One leading byte-order mark
+    ``source`` is a path, a binary stream, a text stream or an iterable of
+    lines, and each is read by one rule.  A path and a binary stream (such
+    as ``sys.stdin.buffer``) are decoded as UTF-8 by one decoder, in any
+    locale, and a binary stream is left open.  One leading byte-order mark
     (U+FEFF) is dropped.  A line that is not UTF-8 raises ParseError
-    wherever it sits, so a lone surrogate that a stream kept for an
-    undecodable byte fails as that byte does in a file.  A quoted field may
-    span lines, and an error names the physical line its record starts on.
+    wherever it sits, naming the line and column of its first undecodable
+    byte; a lone surrogate that a text stream kept for such a byte fails
+    the same way, and a text stream's own strict decoder fails in its
+    codec's words.  A quoted field may span lines, and an error names the
+    physical line its record starts on.
 
     ``fmt="auto"``, the default, picks TSV when csv, reading with tabs, finds
     more than one field in the first record that is not blank or a '#'
@@ -252,8 +273,15 @@ def load_rank_counts(
     if fmt not in ("tsv", "csv", "auto"):
         raise DomainError(f"format must be 'tsv', 'csv' or 'auto', got {fmt!r}")
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, "rb") as fh:
             return load_rank_counts(fh, fmt, total)
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        # the one decoder of table bytes; newline="" leaves line breaks to csv
+        text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+        try:
+            return load_rank_counts(text, fmt, total)
+        finally:
+            text.detach()  # the caller's stream stays open
     lines = _utf8_lines(iter(source))
     labels: list[str] = []
     counts: list[int] = []
@@ -296,7 +324,7 @@ def load_rank_counts(
                 raise ParseError("count exceeds the float range (about 1.8e308)", line=line_no)
             labels.append(label)
             counts.append(count)
-    except UnicodeError as exc:
+    except UnicodeDecodeError as exc:  # a caller's text stream with its own strict decoder
         raise ParseError(f"input is not UTF-8: {exc}") from None
     if not counts:
         raise ParseError("no data records found in input")

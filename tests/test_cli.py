@@ -39,6 +39,9 @@ from zipforder.cli import main
 from zipforder import _text
 from zipforder._text import _CHUNK, _column_text, _point_text
 
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from inputs import make_table  # noqa: E402
+
 BNC_TOP10 = str(Path(__file__).parent / "data" / "bnc_top10.tsv")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -47,6 +50,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin``: text over bytes, with the ``.buffer`` the CLI reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")))
 
 
 class TestThreshold:
@@ -374,7 +382,7 @@ class TestAnalyze:
         }
 
     def test_stdin_csv(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a,90\nb,40\nc,10\n"))
+        monkeypatch.setattr("sys.stdin", _stdin("a,90\nb,40\nc,10\n"))
         code, out, _ = run_cli(
             capsys, "analyze", "--input", "-", "--alpha", "1.5",
             "--window", "1", "3",
@@ -439,7 +447,7 @@ class TestAnalyze:
         marked = tmp_path / "marked.csv"
         marked.write_text(text, encoding="utf-8-sig")
         assert run_cli(capsys, *argv, "--input", str(marked)) == (0, expected, "")
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        monkeypatch.setattr("sys.stdin", _stdin("\ufeff" + text))
         assert run_cli(capsys, *argv, "--input", "-") == (0, expected, "")
 
     def test_count_beyond_float_range_exit_code(self, capsys, tmp_path):
@@ -520,7 +528,7 @@ class TestQuietSuccess:
     """Conditions a run meets are report fields, so success writes no stderr."""
 
     def test_analyze_zero_counts(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a,90\nb,40\nc,10\nd,0\ne,0\n"))
+        monkeypatch.setattr("sys.stdin", _stdin("a,90\nb,40\nc,10\nd,0\ne,0\n"))
         code, out, err = run_cli(
             capsys, "analyze", "--input", "-", "--alpha", "1.5", "--window", "1", "3"
         )
@@ -690,11 +698,15 @@ class TestHelp:
             assert command in out
 
 
-def run_process(*argv) -> subprocess.CompletedProcess:
-    """``python -m zipforder.cli`` with ``argv``, run from the source tree."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_process(*argv, stdin: bytes | None = None, **env) -> subprocess.CompletedProcess:
+    """``python -m zipforder.cli`` with ``argv``, run from the source tree,
+    with ``stdin`` as its input and ``env`` over the environment.  Neither
+    ``PYTHONUTF8`` nor ``PYTHONIOENCODING`` is passed on unless given, so
+    stdin is set up as the locale says."""
+    env = {**{k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")},
+           "PYTHONPATH": SRC, **env}
     return subprocess.run([sys.executable, "-m", "zipforder.cli", *argv],
-                          capture_output=True, env=env, timeout=120)
+                          input=stdin, capture_output=True, env=env, timeout=120)
 
 
 class TestProcess:
@@ -734,22 +746,62 @@ class TestProcess:
         assert proc.stderr.count(b"\n") == 1
 
     def test_undecodable_stdin_is_an_error(self, tmp_path):
-        """Stdin that the interpreter decodes with surrogateescape fails on an
-        undecodable count as the same bytes do by path; patching sys.stdin
-        in-process cannot show how the interpreter decodes its own stdin."""
+        """An undecodable count on stdin fails as the same bytes do by path,
+        with the same message; patching sys.stdin in-process cannot show how
+        the interpreter sets up its own stdin."""
         data = b"a\t\xff9\nb\t3\n"
         path = tmp_path / "bad.tsv"
         path.write_bytes(data)
-        argv = [sys.executable, "-m", "zipforder.cli", "analyze", "--alpha", "1.5",
-                "--window", "1", "1", "--input"]
-        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUTF8": "1"}
-        for proc in (
-            subprocess.run([*argv, "-"], input=data, capture_output=True, env=env, timeout=120),
-            subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=120),
-        ):
+        argv = ("analyze", "--alpha", "1.5", "--window", "1", "1", "--input")
+        by_stdin, by_path = run_process(*argv, "-", stdin=data), run_process(*argv, str(path))
+        for proc in (by_stdin, by_path):
             assert (proc.returncode, proc.stdout) == (1, b"")
-            assert proc.stderr.startswith(b"zipforder: error: input is not UTF-8: ")
+            assert proc.stderr.startswith(b"zipforder: error: line 1: input is not UTF-8: ")
             assert proc.stderr.count(b"\n") == 1
+        assert by_stdin.stderr == by_path.stderr
+
+    @pytest.mark.parametrize("data, env", [
+        (b"the\t6187267\rof\t3093444\rand\t2687863\r", {}),
+        ("the\t6187267\ncaf\xe9\t3093444\nna\xefve\t2687863\n".encode("utf-8"),
+         {"PYTHONIOENCODING": "latin-1"}),
+        (make_table(1).text.encode("utf-8"), {}),
+    ], ids=["cr-line-ends", "utf8-under-latin-1", "perfbench-table"])
+    def test_stdin_reads_as_a_file(self, tmp_path, data, env):
+        """Stdin's bytes go through the loader's decoder, as a file's do: in
+        any locale and whatever the line ends, the report is the same bytes."""
+        path = tmp_path / "table.tsv"
+        path.write_bytes(data)
+        argv = ("analyze", "--alpha", "1.106", "--total", "1e8", "--window", "1", "3", "--input")
+        by_stdin = run_process(*argv, "-", stdin=data, **env)
+        by_path = run_process(*argv, str(path), **env)
+        assert (by_path.returncode, by_path.stderr) == (0, b"")
+        assert (by_stdin.returncode, by_stdin.stderr) == (0, b"")
+        assert by_stdin.stdout == by_path.stdout
+
+    def test_bad_byte_names_its_line(self, tmp_path):
+        """A byte 0xff on line 5,001 is reported by its line and column, the
+        same by path and by stdin."""
+        data = "".join(f"w{j}\t{10**6 - j}\n" for j in range(5000)).encode() + b"ab\xff\t3\n"
+        path = tmp_path / "table.tsv"
+        path.write_bytes(data)
+        argv = ("analyze", "--alpha", "1.5", "--input")
+        message = b"zipforder: error: line 5001: input is not UTF-8: undecodable byte 0xff at column 3\n"
+        for proc in (run_process(*argv, "-", stdin=data), run_process(*argv, str(path))):
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
+
+    @pytest.mark.parametrize("argv, redirect, message", [
+        (("analyze", "--alpha", "1.5", "--input", "-"), "<&-", b"stdin is closed"),
+        (("threshold", "--N", "1e7", "--alpha", "1.106"), ">&-", b"stdout is closed"),
+        (("analyze", "--alpha", "1.106", "--input", BNC_TOP10), ">&-", b"stdout is closed"),
+    ], ids=["stdin", "stdout-threshold", "stdout-analyze"])
+    def test_closed_standard_stream_is_an_error(self, argv, redirect, message):
+        """A process started with stdin or stdout closed, whose Python
+        stream is None, exits 1 with one error line and no traceback."""
+        script = f'exec "$0" -m zipforder.cli "$@" {redirect}'
+        proc = subprocess.run(["sh", "-c", script, sys.executable, *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"zipforder: error: " + message + b"\n"
 
     def test_usage_error(self):
         proc = run_process("threshold", "--N", "1e7")
@@ -965,6 +1017,7 @@ class TestStreamedJson:
     @settings(max_examples=300, deadline=None)
     @given(_PAYLOADS)
     @example({'"adjacent_se': [], "x": {'"adjacent_se": []': _Column.of_numbers([1.5])}})
+    @example({"": _Column.of_points([0.0, -0.0])})  # equal values, different reprs
     def test_matches_json_dumps(self, payload):
         plain, empty, columns = _split(payload)
         expected = json.dumps(plain, indent=2) + "\n"

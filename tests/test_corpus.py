@@ -367,19 +367,61 @@ class TestReadingRule:
     """A path, a text stream and a list of lines are read by one rule: one
     format default, one UTF-8 check of every line, one byte-order-mark rule."""
 
-    @pytest.mark.parametrize("data", [
-        b"a\t\xff9\nb\t3\n",  # the first record's count, once taken for a header
-        b"a\t9\nb\t\xff3\n",  # a later count
-        b"w\xffrd\tcount\na\t9\n",  # a header's label
-        b"# \xff\na\t9\n",  # a comment
-        b"1\ta\t9\n\xff2\tb\t3\n",  # the rank field of a 3-column row
-        b"a\t9\nb\t3\n" * 3000 + b"\xff\t1\n",  # a label past the first block of lines
+    @pytest.mark.parametrize("data, line", [
+        (b"a\t\xff9\nb\t3\n", 1),  # the first record's count, once taken for a header
+        (b"a\t9\nb\t\xff3\n", 2),  # a later count
+        (b"w\xffrd\tcount\na\t9\n", 1),  # a header's label
+        (b"# \xff\na\t9\n", 1),  # a comment
+        (b"1\ta\t9\n\xff2\tb\t3\n", 2),  # the rank field of a 3-column row
+        (b"a\t9\nb\t3\n" * 3000 + b"\xff\t1\n", 6001),  # a label past the first block
     ], ids=["first-count", "later-count", "header", "comment", "rank", "late-label"])
     @pytest.mark.parametrize("fmt", ["auto", "tsv"])
-    def test_undecodable_byte_is_parse_error_anywhere(self, tmp_path, data, fmt):
-        for source in _sources(data, tmp_path):
-            with pytest.raises(ParseError, match="^input is not UTF-8: "):
+    def test_undecodable_byte_is_parse_error_anywhere(self, tmp_path, data, line, fmt):
+        for source in [*_sources(data, tmp_path), io.BytesIO(data)]:
+            with pytest.raises(ParseError, match=f"^line {line}: input is not UTF-8: "):
                 load_rank_counts(source, fmt=fmt)
+
+    @pytest.mark.parametrize("data", [
+        b"a\t9\n",  # once read as lines of bytes, which csv refused
+        b"the\t6187267\rof\t3093444\rand\t2687863\r",
+        "caf\xe9\t9\n\u4e2d\t5\n\U0001f600\t3\n".encode("utf-8"),
+        b"\xef\xbb\xbfword,count\nthe,6187267\nof,3093444\n",
+        b'"a\r\nb"\t9\r\nc\t3\r\n',
+    ], ids=["one-row", "cr-line-ends", "non-ascii", "byte-order-mark", "quoted-crlf"])
+    @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
+    def test_binary_stream_reads_as_its_path(self, tmp_path, data, fmt):
+        """A binary stream is decoded as a path is, and is left open."""
+        path = tmp_path / "table.txt"
+        path.write_bytes(data)
+        try:
+            want = load_rank_counts(path, fmt=fmt)
+        except ParseError as exc:
+            want = str(exc)
+        stream = io.BytesIO(data)
+        try:
+            got = load_rank_counts(stream, fmt=fmt)
+        except ParseError as exc:
+            got = str(exc)
+        assert got == want
+        assert not stream.closed and stream.read() == b""
+
+    def test_bad_byte_is_named_by_line_and_column(self, tmp_path):
+        """Line 5,001 of a 20,004-byte table is named by path, as a binary
+        stream and as a surrogateescape text stream, in one message."""
+        data = b"a\t9\n" * 5000 + b"\xff\t1\n"
+        assert len(data) == 20_004
+        message = "line 5001: input is not UTF-8: undecodable byte 0xff at column 1"
+        stream = io.BytesIO(data)
+        for source in [*_sources(data, tmp_path), stream]:
+            with pytest.raises(ParseError) as exc:
+                load_rank_counts(source)
+            assert str(exc.value) == message
+        assert not stream.closed
+
+    def test_lone_surrogate_of_no_byte(self):
+        with pytest.raises(ParseError) as exc:
+            load_rank_counts(["a\t9\n", "b\ud800\t3\n"])
+        assert str(exc.value) == "line 2: input is not UTF-8: lone surrogate U+D800 at column 2"
 
     def test_surrogate_before_a_line_that_is_not_a_str(self):
         with pytest.raises(ParseError, match="UTF-8"):
@@ -387,15 +429,12 @@ class TestReadingRule:
 
     @pytest.mark.parametrize("source, message", [
         ([b"a\t9\n"], "line 1: iterator should return strings, not bytes"),
-        (io.BytesIO(b"a\t9\n"), "line 1: iterator should return strings, not bytes"),
         (["# a list", None], "line 2: iterator should return strings, not NoneType"),
         ([None], "line 1: iterator should return strings, not NoneType"),
         ([], "no data records found in input"),
-    ], ids=["bytes-list", "bytes-stream", "none-later", "none-first", "empty"])
+    ], ids=["bytes-list", "none-later", "none-first", "empty"])
     @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
     def test_lines_that_are_not_text_keep_their_errors(self, source, message, fmt):
-        if isinstance(source, io.BytesIO):
-            source = io.BytesIO(source.getvalue())  # one fresh stream per format
         with pytest.raises(ParseError, match=f"^{message}"):
             load_rank_counts(source, fmt=fmt)
 

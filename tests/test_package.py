@@ -183,24 +183,27 @@ def test_report_text_stays_in_one_module():
     assert from_corpus and not {name for name in from_corpus if name.startswith("_")}
 
 
-def _open_users(path):
+def _scoped_nodes(node, scope=()):
+    """Each node under ``node`` with the names of the functions and classes
+    around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def _namers(path, name):
     """The functions of a source file, as ``module.function``, that name
-    ``open`` (the builtin, or an ``open`` attribute such as ``io.open``)."""
-    users = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if (isinstance(child, ast.Name) and child.id == "open") or (
-                isinstance(child, ast.Attribute) and child.attr == "open"
-            ):
-                users.add(".".join([path.stem, *scope]))
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), [])
-    return users
+    ``name``: as a variable, an attribute (as in ``io.open``) or a string."""
+    return {
+        ".".join([path.stem, *scope])
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Constant) and node.value == name)
+    }
 
 
 def test_one_writer_opens_every_output():
@@ -209,8 +212,27 @@ def test_one_writer_opens_every_output():
     package opens a file."""
     sources = sorted(Path(zipforder.__file__).parent.glob("*.py"))
     assert sources
-    users = set().union(*map(_open_users, sources))
+    users = set().union(*(_namers(path, "open") for path in sources))
     assert users == {"cli._emit", "corpus.load_rank_counts"}
+
+
+def test_one_decoder_reads_every_table_byte():
+    """``corpus.load_rank_counts`` alone states how table bytes are decoded
+    (``TextIOWrapper`` with ``surrogateescape``), and ``cli`` reads stdin
+    only through its ``.buffer``, so stdin's bytes are decoded as a file's."""
+    package = Path(zipforder.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    for name in ("TextIOWrapper", "surrogateescape"):
+        assert set().union(*(_namers(path, name) for path in sources)) == {
+            "corpus.load_rank_counts"}, name
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    stdin = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "stdin" and isinstance(node.value, ast.Name) and node.value.id == "sys"]
+    assert stdin
+    for node in stdin:
+        parent = parents[node]
+        assert isinstance(parent, ast.Attribute) and parent.attr == "buffer", ast.unparse(parent)
 
 
 def test_one_table_format_default():
