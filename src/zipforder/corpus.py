@@ -56,7 +56,6 @@ _ANCHOR_OFFSET = 0.5  # vertical gap of the reference lines, in log space
 # above round (to even) to 2^1024, which overflows
 _MAX_COUNT = 2**1024 - 2**970 - 1
 _SHOWN = 40  # characters of a bad field that an error message echoes
-_BLOCK = 4096  # lines checked as UTF-8 at once
 
 
 @dataclass(frozen=True)
@@ -200,34 +199,25 @@ def _is_number(field: str) -> bool:
 
 def _utf8_lines(lines: Iterator[str]) -> Iterator[str]:
     """``lines`` without one leading byte-order mark, each checked as UTF-8
-    before it is yielded.  The loader's decoder keeps an undecodable byte as
-    a lone surrogate, as a caller's stream may, and the first one raises
-    ParseError naming its line, as csv counts lines, and column.  A line
-    that is not a str passes unchecked, with the lines after it, and csv
-    names it."""
-    block = list(itertools.islice(lines, _BLOCK))
-    if block and isinstance(block[0], str):
-        block[0] = block[0].removeprefix("\ufeff")
-    start = 1  # the line number of block[0]
-    while block:
-        try:
-            "".join(block).encode("utf-8")
-        except (UnicodeEncodeError, TypeError):  # find the line
-            for line_no, line in enumerate(block, start):
-                if not isinstance(line, str):
-                    break
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    code = ord(line[exc.start])
-                    bad = (f"undecodable byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF
-                           else f"lone surrogate U+{code:04X}")
-                    raise ParseError(
-                        f"input is not UTF-8: {bad} at column {exc.start + 1}", line=line_no
-                    ) from None
-        yield from block
-        start += len(block)
-        block = list(itertools.islice(lines, _BLOCK))
+    before it is yielded, so csv sees line N only after line N is checked.
+    The loader's decoder keeps an undecodable byte as a lone surrogate, as a
+    caller's stream may, and the first one raises ParseError naming its
+    line, as csv counts lines, and column.  A line that is not a str passes
+    unchecked, and csv names it and stops there."""
+    for line_no, line in enumerate(lines, 1):
+        if isinstance(line, str) and not line.isascii():  # an ASCII line is UTF-8
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                code = ord(line[exc.start])
+                bad = (f"undecodable byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF
+                       else f"lone surrogate U+{code:04X}")
+                raise ParseError(
+                    f"input is not UTF-8: {bad} at column {exc.start + 1}", line=line_no
+                ) from None
+        yield line
 
 
 def _records(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
@@ -261,9 +251,12 @@ def load_rank_counts(
     (U+FEFF) is dropped.  A line that is not UTF-8 raises ParseError
     wherever it sits, naming the line and column of its first undecodable
     byte; a lone surrogate that a text stream kept for such a byte fails
-    the same way, and a text stream's own strict decoder fails in its
-    codec's words.  A quoted field may span lines, and an error names the
-    physical line its record starts on.
+    the same way.  A text stream's own strict decoder fails in its codec's
+    words, with no line: pass the path, or the stream's ``.buffer``, to
+    have the line and column named.  Each line is checked before csv reads
+    it, so an error names the first faulty line, whatever the fault.  A
+    quoted field may span lines, and an error names the physical line its
+    record starts on.
 
     ``fmt="auto"``, the default, picks TSV when csv, reading with tabs, finds
     more than one field in the first record that is not blank or a '#'

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pickle
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -363,6 +364,29 @@ def _sources(data: bytes, tmp_path: Path) -> list:
     return [path, stream(), stream().readlines()]
 
 
+def _two_faults(faulty: dict[int, bytes], delimiter: bytes) -> bytes:
+    """A ten-line TSV table whose lines are good records but for those of
+    ``faulty`` (line number: line), with its tabs replaced by ``delimiter``."""
+    lines = [faulty.get(n, b"w\t%d" % (20 - n)) for n in range(1, 11)]
+    return b"".join(line + b"\n" for line in lines).replace(b"\t", delimiter)
+
+
+class _Counted:
+    """An iterator over ``lines`` that counts the lines it has handed out."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.handed = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.handed += 1
+        return line
+
+
 class TestReadingRule:
     """A path, a text stream and a list of lines are read by one rule: one
     format default, one UTF-8 check of every line, one byte-order-mark rule."""
@@ -407,16 +431,43 @@ class TestReadingRule:
 
     def test_bad_byte_is_named_by_line_and_column(self, tmp_path):
         """Line 5,001 of a 20,004-byte table is named by path, as a binary
-        stream and as a surrogateescape text stream, in one message."""
+        stream, as a surrogateescape text stream and as the binary buffer of
+        a strict text stream, in one message."""
         data = b"a\t9\n" * 5000 + b"\xff\t1\n"
         assert len(data) == 20_004
         message = "line 5001: input is not UTF-8: undecodable byte 0xff at column 1"
         stream = io.BytesIO(data)
-        for source in [*_sources(data, tmp_path), stream]:
-            with pytest.raises(ParseError) as exc:
-                load_rank_counts(source)
-            assert str(exc.value) == message
+        sources = _sources(data, tmp_path)
+        with sources[0].open(encoding="utf-8") as strict:
+            for source in [*sources, stream, strict.buffer]:
+                with pytest.raises(ParseError) as exc:
+                    load_rank_counts(source)
+                assert str(exc.value) == message
+            assert not strict.buffer.closed
         assert not stream.closed
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ({5: b"e\t1.5", 10: b"w\xff\t9"}, 5, "count field '1.5' is not an integer"),
+        ({5: b"w\xff\t9", 10: b"e\t1.5"}, 5, "input is not UTF-8: undecodable byte 0xff at column 2"),
+        ({3: b"# \xff", 4: b"1\ta\t9\tx"}, 3, "input is not UTF-8: undecodable byte 0xff at column 3"),
+    ], ids=["count-then-byte", "byte-then-count", "comment-byte-then-columns"])
+    @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
+    def test_first_faulty_line_is_named(self, tmp_path, rows, line, message, fmt):
+        """Of two faulty lines, the first is named, whatever its fault."""
+        data = _two_faults(rows, b"," if fmt == "csv" else b"\t")
+        for source in [*_sources(data, tmp_path), io.BytesIO(data)]:
+            with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+                load_rank_counts(source, fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["auto", "tsv", "csv"])
+    def test_lines_are_read_as_they_are_checked(self, fmt):
+        """A faulty line 5 is named before the reader takes more than one line
+        past it from its source."""
+        data = _two_faults({5: b"e\t1.5", 10: b"w\xff\t9"}, b"," if fmt == "csv" else b"\t")
+        lines = _Counted(data.decode("utf-8", "surrogateescape").splitlines(keepends=True))
+        with pytest.raises(ParseError, match="^line 5: "):
+            load_rank_counts(lines, fmt=fmt)
+        assert lines.handed <= 6
 
     def test_lone_surrogate_of_no_byte(self):
         with pytest.raises(ParseError) as exc:

@@ -218,13 +218,16 @@ def test_one_writer_opens_every_output():
 
 def test_one_decoder_reads_every_table_byte():
     """``corpus.load_rank_counts`` alone states how table bytes are decoded
-    (``TextIOWrapper`` with ``surrogateescape``), and ``cli`` reads stdin
-    only through its ``.buffer``, so stdin's bytes are decoded as a file's."""
+    (``TextIOWrapper`` with ``surrogateescape``), ``corpus._utf8_lines``
+    alone checks decoded text as UTF-8 (``.encode``), and ``cli`` reads
+    stdin only through its ``.buffer``, so stdin's bytes are decoded as a
+    file's."""
     package = Path(zipforder.__file__).parent
     sources = sorted(package.glob("*.py"))
-    for name in ("TextIOWrapper", "surrogateescape"):
-        assert set().union(*(_namers(path, name) for path in sources)) == {
-            "corpus.load_rank_counts"}, name
+    for name, namers in [("TextIOWrapper", {"corpus.load_rank_counts"}),
+                         ("surrogateescape", {"corpus.load_rank_counts"}),
+                         ("encode", {"corpus._utf8_lines"})]:
+        assert set().union(*(_namers(path, name) for path in sources)) == namers, name
     tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     stdin = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
